@@ -11,10 +11,6 @@
 //   --clients LIST  comma-separated logical-client counts for benches
 //                   with a concurrency sweep (e.g. --clients 1,8,64,256);
 //                   empty means the bench's default sweep.
-//   --reactor-threads N
-//                   epoll reactor threads for benches with a TCP arm
-//                   (default 1; the CI smoke matrix also runs a 2-thread
-//                   leg to keep the multi-reactor path measured).
 //   --cooldown-ms N idle sleep between sweep arms. An arm inherits the
 //                   previous arm's thermal/scheduler state (warmed
 //                   caches, CPU governor, lingering TIME_WAIT sockets);
@@ -46,7 +42,6 @@ struct BenchArgs {
   bool smoke = false;
   std::size_t jobs = 1;   // 0 = one per hardware core
   std::vector<std::size_t> clients;  // empty: bench default sweep
-  std::size_t reactor_threads = 1;
   std::size_t cooldown_ms = 0;
   std::string only;  // empty: run every arm
 };
@@ -61,11 +56,6 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       args.jobs = static_cast<std::size_t>(
           std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--reactor-threads") == 0 &&
-               i + 1 < argc) {
-      args.reactor_threads = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
-      if (args.reactor_threads == 0) args.reactor_threads = 1;
     } else if (std::strcmp(argv[i], "--cooldown-ms") == 0 && i + 1 < argc) {
       args.cooldown_ms = static_cast<std::size_t>(
           std::strtoull(argv[++i], nullptr, 10));
@@ -123,9 +113,6 @@ class JsonReport {
   [[nodiscard]] std::size_t jobs() const { return args_.jobs; }
   [[nodiscard]] const std::vector<std::size_t>& clients() const {
     return args_.clients;
-  }
-  [[nodiscard]] std::size_t reactor_threads() const {
-    return args_.reactor_threads;
   }
   [[nodiscard]] std::size_t cooldown_ms() const { return args_.cooldown_ms; }
   /// Arm filter: true when `key` should run under --only (always true

@@ -197,11 +197,10 @@ class ClosedLoop {
 
 Numbers RunArm(std::uint32_t n, std::size_t n_clients, bool use_tcp,
                int pairs_per_client, std::size_t batch_max_ops,
-               bool shared_flush, std::size_t reactor_threads) {
+               bool shared_flush) {
   RegisterCluster::Options options;
   options.config = ProtocolConfig::ForServers(n);
   options.use_tcp = use_tcp;
-  options.reactor_threads = reactor_threads;
   options.multiplex = true;
   options.n_clients = n_clients;
   options.batch_max_ops = batch_max_ops;  // 0 = unbatched
@@ -230,12 +229,10 @@ Numbers RunArm(std::uint32_t n, std::size_t n_clients, bool use_tcp,
 /// runs the per-key checker.
 Numbers RunShardedArm(std::uint32_t n, std::size_t groups,
                       std::size_t n_clients, bool use_tcp,
-                      int pairs_per_client, std::size_t reactor_threads,
-                      bool migrate) {
+                      int pairs_per_client, bool migrate) {
   ShardedCluster::Options options;
   options.group.config = ProtocolConfig::ForServers(n);
   options.group.use_tcp = use_tcp;
-  options.group.reactor_threads = reactor_threads;
   options.group.multiplex = true;
   options.group.n_clients = n_clients;
   options.group.batch_max_ops = std::min<std::size_t>(n_clients, 64);
@@ -319,14 +316,11 @@ struct Point {
   std::size_t clients;
   std::size_t batch = 0;  // batch_max_ops; 0 = unbatched
   bool shared_flush = false;
-  /// 0 = the --reactor-threads argument; >0 = pinned (first-class rtN
-  /// arms that measure the multi-reactor path inside the default run).
-  std::size_t reactor_threads = 0;
   std::size_t groups = 1;  // >1 = sharded arm
   bool migrate = false;    // g2.migrate: 1 -> 2 groups mid-run
 };
 
-/// Metric-key prefix of an arm, e.g. "sharedflush.tcp.n16.rt2.c64" or
+/// Metric-key prefix of an arm, e.g. "sharedflush.tcp.n16.c64" or
 /// "g4.tcp.n16.c256". The g<G> family prefix is what bench_compare
 /// groups sharded arms by.
 std::string KeyFor(const Point& point) {
@@ -342,9 +336,6 @@ std::string KeyFor(const Point& point) {
   }
   key += point.use_tcp ? "tcp" : "mailbox";
   key += ".n" + std::to_string(point.n);
-  if (point.reactor_threads > 0) {
-    key += ".rt" + std::to_string(point.reactor_threads);
-  }
   key += ".c" + std::to_string(point.clients);
   return key;
 }
@@ -363,9 +354,8 @@ int main(int argc, char** argv) {
     if (seen.insert(KeyFor(point)).second) points.push_back(point);
   };
   auto add_single = [&](bool use_tcp, std::uint32_t n, std::size_t clients,
-                        std::size_t batch = 0, bool shared_flush = false,
-                        std::size_t reactor_threads = 0) {
-    add({use_tcp, n, clients, batch, shared_flush, reactor_threads});
+                        std::size_t batch = 0, bool shared_flush = false) {
+    add({use_tcp, n, clients, batch, shared_flush});
   };
   // Legacy trajectory points: n sweep at low client counts.
   for (std::uint32_t n : {6u, 11u, 16u}) {
@@ -409,43 +399,30 @@ int main(int argc, char** argv) {
     add_single(false, 16, clients, std::min<std::size_t>(clients, 64), true);
     add_single(true, 16, clients, std::min<std::size_t>(clients, 64), true);
   }
-  // First-class multi-reactor arms (".rt2"): the shared-FLUSH tcp
-  // sweep again with two epoll reactor threads, so the multi-reactor
-  // path is measured inside the default run rather than only by a
-  // separate CI leg.
-  for (std::size_t clients : sweep) {
-    if (clients < 8) continue;
-    add_single(true, 16, clients, std::min<std::size_t>(clients, 64), true,
-               /*reactor_threads=*/2);
-  }
   // Sharded scale-out arms (metric prefix "g<G>."): EQUAL total
   // clients spread over G independent groups — the E15 G-scaling
   // curve against the sharedflush.tcp.n16.c256 single-group baseline.
   // On a single-core box these measure router + composition overhead
   // (every group's node threads timeshare one core); linear aggregate
   // scaling needs one core per group's worth of protocol work.
-  add({true, 16, 256, 0, true, 0, /*groups=*/2});
-  add({true, 16, 256, 0, true, 0, /*groups=*/4});
-  add({false, 16, 256, 0, true, 0, /*groups=*/4});
+  add({true, 16, 256, 0, true, /*groups=*/2});
+  add({true, 16, 256, 0, true, /*groups=*/4});
+  add({false, 16, 256, 0, true, /*groups=*/4});
   // Live growth arm ("g2.migrate."): starts at one group, adds the
   // second at half the op budget; the per-key checker must pass
   // straight through the epoch bump.
-  add({true, 16, 64, 0, true, 0, /*groups=*/2, /*migrate=*/true});
+  add({true, 16, 64, 0, true, /*groups=*/2, /*migrate=*/true});
 
   for (const Point& point : points) {
     const std::string key = KeyFor(point);
     if (!report.WantArm(key)) continue;
     const int pairs = PairsFor(point.use_tcp, point.clients, report.smoke());
-    const std::size_t reactor_threads = point.reactor_threads > 0
-                                            ? point.reactor_threads
-                                            : report.reactor_threads();
     const Numbers numbers =
         point.groups > 1 || point.migrate
             ? RunShardedArm(point.n, point.groups, point.clients,
-                            point.use_tcp, pairs, reactor_threads,
-                            point.migrate)
+                            point.use_tcp, pairs, point.migrate)
             : RunArm(point.n, point.clients, point.use_tcp, pairs,
-                     point.batch, point.shared_flush, reactor_threads);
+                     point.batch, point.shared_flush);
     const std::string label =
         key.substr(0, key.rfind(".n" + std::to_string(point.n)));
     Row("%-4u %-8zu %-22s | %-12.0f %-10.0f %-10.0f %-7ld", point.n,

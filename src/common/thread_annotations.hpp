@@ -138,20 +138,14 @@ class CondVar {
 ///
 /// Edges declared today (held-while-acquiring, left before right):
 ///   kLoadDriver  -> kShardRouter, kMailbox
-///   kTcpBus      -> kReactorLoop, kReactorOwner
-///   kTcpConn     -> kReactorLoop, kReactorOwner
-///   kReactorLoop -> kReactorOwner
-/// kMailbox, kLinkShaper and the ad-hoc leaves (logging sink, parallel
-/// sweep error mutex) acquire nothing nested.
+/// kShardRouter, kMailbox, kLinkShaper and the ad-hoc leaves (logging
+/// sink, parallel sweep error mutex) acquire nothing nested. The TCP
+/// transport has no mutex: each node thread owns its sockets.
 namespace lock_order {
-inline Mutex kLoadDriver;    // anchor-for: sbft::load::RunState::mutex
-inline Mutex kShardRouter;   // anchor-for: sbft::ShardedCluster::mutex_
-inline Mutex kMailbox;       // anchor-for: sbft::Mailbox::mutex_
-inline Mutex kTcpBus;        // anchor-for: sbft::TcpBus::mutex_
-inline Mutex kTcpConn;       // anchor-for: sbft::TcpBus::Connection::mutex
-inline Mutex kReactorLoop;   // anchor-for: sbft::Reactor::Loop::mutex
-inline Mutex kReactorOwner;  // anchor-for: sbft::Reactor::owner_mutex_
-inline Mutex kLinkShaper;    // anchor-for: sbft::LinkShaper::mutex_
+inline Mutex kLoadDriver;   // anchor-for: sbft::load::RunState::mutex
+inline Mutex kShardRouter;  // anchor-for: sbft::ShardedCluster::mutex_
+inline Mutex kMailbox;      // anchor-for: sbft::Mailbox::mutex_
+inline Mutex kLinkShaper;   // anchor-for: sbft::LinkShaper::mutex_
 }  // namespace lock_order
 
 }  // namespace sbft

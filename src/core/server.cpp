@@ -156,8 +156,14 @@ void RegisterServer::RebuildReplyPrefix() {
   reply.label = 0;
   Bytes frame = EncodeMessage(Message(std::move(reply)));
   SBFT_ASSERT(frame.size() >= sizeof(OpLabel));
-  frame.resize(frame.size() - sizeof(OpLabel));
-  reply_prefix_ = std::move(frame);
+  // Copy out of the pooled encode buffer rather than keep it: the
+  // prefix lives as long as the register, and a pooled buffer carries
+  // the capacity of the largest frame it ever held (one per register
+  // adds up across a mux server's whole register table).
+  const auto prefix_end =
+      frame.end() - static_cast<std::ptrdiff_t>(sizeof(OpLabel));
+  reply_prefix_.assign(frame.begin(), prefix_end);
+  FramePool().Release(std::move(frame));
   reply_prefix_valid_ = true;
 }
 

@@ -1,8 +1,13 @@
 #include "runtime/cluster.hpp"
 
+#include <sys/epoll.h>
+#include <unistd.h>
+
 #include <ctime>
 
 #include <algorithm>
+#include <array>
+#include <cerrno>
 #include <chrono>
 #include <optional>
 #include <utility>
@@ -13,8 +18,8 @@ namespace sbft {
 namespace {
 
 /// CPU time consumed by the calling thread. One syscall per call —
-/// sampled once per drained batch, not per frame, so the cost
-/// amortizes over the batch like everything else on this path.
+/// sampled once per wakeup, not per frame, so the cost amortizes over
+/// the wakeup like everything else on this path.
 std::uint64_t ThreadCpuNs() {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
@@ -28,9 +33,10 @@ thread_local NodeId tls_node = kNoNode;
 
 }  // namespace
 
-// Endpoint bound to one node of the threaded cluster. Send is called
-// from the node's own thread (handlers run there); it is nevertheless
-// thread-safe because mailbox pushes and TCP writes are synchronized.
+// Endpoint bound to one node of the threaded cluster. Called only from
+// the node's own thread (handlers, OnStart hooks and posted tasks all
+// run inside NodeLoop) — which the TCP transport requires, since that
+// thread owns the node's sockets.
 class ThreadCluster::Endpoint final : public IEndpoint {
  public:
   Endpoint(ThreadCluster& cluster, NodeId id, Rng rng)
@@ -45,10 +51,8 @@ class ThreadCluster::Endpoint final : public IEndpoint {
   }
 
   void SetTimer(VirtualTime delay, int timer_id) override {
-    // Called only from the node's own thread (handlers, OnStart hooks
-    // and posted tasks all run inside NodeLoop), so the timer list
-    // needs no lock: NodeLoop reads it between batches on that same
-    // thread. Delays are microseconds, matching Now().
+    // The timer list needs no lock: NodeLoop reads it between wakeups
+    // on this same thread. Delays are microseconds, matching Now().
     timers_.emplace_back(
         std::chrono::steady_clock::now() + std::chrono::microseconds(delay),
         timer_id);
@@ -104,25 +108,7 @@ ThreadCluster::ThreadCluster(Options options) : options_(options) {
           PushFrame(src, dst, std::move(frame));
         });
   }
-  if (options_.use_tcp) {
-    TcpBus::Options tcp_options;
-    tcp_options.reactor_threads = options_.reactor_threads;
-    tcp_ = std::make_unique<TcpBus>(
-        [this](NodeId dst, std::vector<TcpBus::Delivery>&& batch) {
-          // Reactor thread -> destination mailbox: every frame of the
-          // receive burst lands under one mailbox lock.
-          if (dst >= mailboxes_.size()) return;
-          std::vector<MailItem> items;
-          items.reserve(batch.size());
-          for (auto& delivery : batch) {
-            Frame frame(std::move(delivery.frame));
-            if (Shape(delivery.src, dst, frame)) continue;
-            items.push_back(MailItem{delivery.src, std::move(frame), nullptr});
-          }
-          mailboxes_[dst]->PushBatch(std::move(items));
-        },
-        tcp_options);
-  }
+  if (options_.use_tcp) tcp_ = std::make_unique<TcpBus>();
 }
 
 void ThreadCluster::PushFrame(NodeId src, NodeId dst, Frame frame) {
@@ -136,7 +122,13 @@ bool ThreadCluster::Shape(NodeId src, NodeId dst, Frame& frame) {
   return shaper_ && shaper_->Offer(src, dst, std::move(frame));
 }
 
-ThreadCluster::~ThreadCluster() { Stop(); }
+ThreadCluster::~ThreadCluster() {
+  Stop();
+  // The sockets leave their epoll sets before the sets close (Stop
+  // skips the transport when the cluster never started).
+  if (tcp_) tcp_->Stop();
+  for (const int epoll_fd : epoll_fds_) ::close(epoll_fd);
+}
 
 NodeId ThreadCluster::AddNode(std::unique_ptr<Automaton> automaton) {
   SBFT_ASSERT(!started_);
@@ -145,7 +137,15 @@ NodeId ThreadCluster::AddNode(std::unique_ptr<Automaton> automaton) {
   mailboxes_.push_back(std::make_unique<Mailbox>());
   Rng seeder(options_.seed + id * 7919);
   endpoints_.push_back(std::make_unique<Endpoint>(*this, id, seeder.Fork()));
-  if (tcp_) tcp_->AddNode(id);
+  const int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  SBFT_ASSERT(epoll_fd >= 0);
+  epoll_fds_.push_back(epoll_fd);
+  epoll_event mailbox_event{};
+  mailbox_event.events = EPOLLIN;
+  mailbox_event.data.ptr = nullptr;  // the mailbox; sockets carry theirs
+  SBFT_ASSERT(::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, mailboxes_[id]->wake_fd(),
+                          &mailbox_event) == 0);
+  if (tcp_) tcp_->AddNode(id, epoll_fd);
   return id;
 }
 
@@ -167,54 +167,105 @@ bool ThreadCluster::OnNodeThread(NodeId id) const { return tls_node == id; }
 
 void ThreadCluster::NodeLoop(NodeId id) {
   tls_node = id;
+  Automaton& automaton = *nodes_[id];
   Mailbox& mailbox = *mailboxes_[id];
   Endpoint& endpoint = *endpoints_[id];
+  const int epoll_fd = epoll_fds_[id];
+  std::array<epoll_event, 64> events{};
   std::deque<MailItem> batch;
-  for (;;) {
-    // With a timer armed, the drain wakes at its deadline even if no
-    // frames arrive (an empty batch then just fires the timer below).
-    bool alive;
-    if (const auto deadline = endpoint.NextTimerDeadline()) {
-      alive = mailbox.DrainUntil(batch, *deadline);
-    } else {
-      alive = mailbox.Drain(batch);
+  // The dispatch bracket — batch hooks, handlers, timers — is the
+  // protocol work of one wakeup; the wait, the socket reads and the
+  // flush are transport. Thread CPU is sampled at the bracket's edges.
+  // It opens at the first frame or task, so a wakeup with nothing to
+  // dispatch (a torn frame, a lone timer) runs no batch hooks.
+  bool in_batch = false;
+  std::uint64_t cpu_start = 0;
+  std::uint64_t frames = 0;
+  const auto open_batch = [&] {
+    if (in_batch) return;
+    in_batch = true;
+    cpu_start = ThreadCpuNs();
+    // Bracket the wakeup so the node can coalesce everything it sends
+    // in response (protocol-round batching seam — one wakeup, one
+    // shared round; shared by the mailbox and TCP paths).
+    automaton.OnBatchStart(endpoint);
+  };
+  const TcpBus::FrameFn on_frame = [&](NodeId src, BytesView frame) {
+    if (shaper_) {
+      // Only the shaper needs an owned copy; otherwise the frame is
+      // dispatched in place, from the connection's receive buffer.
+      Bytes copy = FramePool().Acquire();
+      copy.assign(frame.begin(), frame.end());
+      Frame owned(std::move(copy));
+      if (Shape(src, id, owned)) return;
+      owned.Recycle(FramePool());
     }
-    if (!alive) break;
-    std::uint64_t frames = 0;
-    // The dispatch bracket below — batch hooks, handlers, timers — is
-    // the protocol work of this wakeup; everything before (mailbox
-    // wait) and after (socket flush) is transport. Sample thread CPU
-    // at its edges to attribute cost accordingly.
-    const bool measure = !batch.empty();
-    const std::uint64_t cpu_start = measure ? ThreadCpuNs() : 0;
-    // Bracket the batch so the node can coalesce everything it sends
-    // in response to this wakeup (protocol-round batching seam — one
-    // drain, one shared round; shared by the mailbox and TCP paths).
-    if (!batch.empty()) nodes_[id]->OnBatchStart(endpoint);
-    for (auto& item : batch) {
-      if (item.task) {
-        item.task();
+    open_batch();
+    ++frames;
+    automaton.OnFrame(src, frame, endpoint);
+  };
+  for (;;) {
+    // Block until a socket or the mailbox is ready or the next timer is
+    // due (microsecond resolution: a millisecond epoll_wait timeout
+    // would round every batch-window timer up). With work already in
+    // the mailbox, only poll the sockets.
+    timespec timeout{};
+    const timespec* wait = &timeout;
+    if (mailbox.Park()) {
+      if (const auto deadline = endpoint.NextTimerDeadline()) {
+        const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
+            *deadline - std::chrono::steady_clock::now());
+        if (left.count() > 0) {
+          timeout.tv_sec = static_cast<time_t>(left.count() / 1'000'000'000);
+          timeout.tv_nsec = static_cast<long>(left.count() % 1'000'000'000);
+        }
       } else {
-        ++frames;
-        nodes_[id]->OnFrame(item.src, item.frame.view(), endpoint);
-        // Recycle into this node thread's pool — its own sends draw
-        // from the same pool, so a steady request/reply load reuses
-        // storage.
-        item.frame.Recycle(FramePool());
+        wait = nullptr;
       }
     }
-    if (!batch.empty()) nodes_[id]->OnBatchEnd(endpoint);
+    const int ready = ::epoll_pwait2(epoll_fd, events.data(),
+                                     static_cast<int>(events.size()), wait,
+                                     nullptr);
+    for (int i = 0; i < ready; ++i) {
+      const epoll_event& event = events[static_cast<std::size_t>(i)];
+      if (event.data.ptr == nullptr) {
+        mailbox.ConsumeWake();
+      } else {
+        tcp_->OnEvent(event.data.ptr, event.events);
+      }
+    }
+    // Tasks that this wakeup's callbacks post to their own node (the
+    // follow-up ops of a closed loop) stay queued for the next wakeup:
+    // the mailbox is the op accumulator the shared-FLUSH window relies
+    // on (RegisterCluster::AsyncWrite).
+    if (!mailbox.Drain(batch)) break;
+    if (tcp_) tcp_->Deliver(id, on_frame);
+    for (auto& item : batch) {
+      open_batch();
+      if (item.task) {
+        item.task();
+        continue;
+      }
+      ++frames;
+      automaton.OnFrame(item.src, item.frame.view(), endpoint);
+      // Recycle into this node thread's pool — its own sends draw from
+      // the same pool, so a steady request/reply load reuses storage.
+      item.frame.Recycle(FramePool());
+    }
+    if (in_batch) automaton.OnBatchEnd(endpoint);
     if (frames != 0) {
       frames_delivered_.fetch_add(frames, std::memory_order_relaxed);
     }
     // Due timers fire after the batch, on the same thread that runs
     // handlers — automata stay single-threaded here as in the sim.
-    endpoint.FireDueTimers(*nodes_[id]);
-    if (measure) {
+    endpoint.FireDueTimers(automaton);
+    if (in_batch) {
       protocol_cpu_ns_.fetch_add(ThreadCpuNs() - cpu_start,
                                  std::memory_order_relaxed);
     }
-    // Everything this batch queued on the wire goes out in (at most)
+    in_batch = false;
+    frames = 0;
+    // Everything this wakeup queued on the wire goes out in (at most)
     // one syscall per touched connection.
     if (tcp_) tcp_->Flush(id);
   }
@@ -255,6 +306,9 @@ void ThreadCluster::DeliverBroadcast(NodeId src, std::span<const NodeId> dsts,
 
 void ThreadCluster::RunOnNode(NodeId id, std::function<void()> fn) {
   SBFT_ASSERT(id < nodes_.size());
+  // From the node's own thread the task could never run: the thread
+  // would be waiting for itself.
+  SBFT_ASSERT(!OnNodeThread(id));
   std::promise<void> done;
   auto future = done.get_future();
   const bool pushed = mailboxes_[id]->Push(MailItem{
@@ -271,6 +325,11 @@ void ThreadCluster::PostToNode(NodeId id, std::function<void()> fn) {
   mailboxes_[id]->Push(MailItem{kNoNode, {}, std::move(fn)});
 }
 
+void ThreadCluster::DropConnection(NodeId src, NodeId dst) {
+  if (!tcp_) return;
+  PostToNode(src, [this, src, dst] { tcp_->DropConnection(src, dst); });
+}
+
 void ThreadCluster::Stop() {
   if (stopped_ || !started_) {
     stopped_ = true;
@@ -279,9 +338,9 @@ void ThreadCluster::Stop() {
   stopped_ = true;
   // The shaper stops first: frames it still holds are dropped, and
   // later Offers decline so sends fall through to (soon-closed)
-  // mailboxes. Node threads are the only callers of tcp_->Send/Flush,
-  // so closing mailboxes and joining them before the transport means
-  // it is torn down only once nothing can touch it.
+  // mailboxes. Closing a mailbox wakes its node, which exits once the
+  // mailbox is drained; only after every node thread — the only
+  // driver of the sockets — is joined does the transport close them.
   if (shaper_) shaper_->Stop();
   for (auto& mailbox : mailboxes_) mailbox->Close();
   for (auto& thread : threads_) {

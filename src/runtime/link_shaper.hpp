@@ -9,16 +9,18 @@
 // each time (modulo thread scheduling).
 //
 // Placement: ThreadCluster routes frames through the shaper at
-// DELIVERY time — after the transport, before the destination mailbox
-// — which covers both the in-process and the TCP backend with one
-// mechanism and keeps the TcpBus send-side threading contract intact.
+// DELIVERY time — after the transport, before dispatch; shaped frames
+// reach their node through its mailbox — which covers both the
+// in-process and the TCP backend with one mechanism and keeps the
+// TcpBus send-side threading contract intact.
 // Jittered delays may reorder frames between a pair of nodes; the
 // protocol tolerates reordering (see tests/integration/
 // full_stack_test.cpp), and the paper's model only assumes eventual
 // delivery on correct links.
 //
-// Threading: Offer is called from node threads and reactor threads;
-// one shaper thread owns the release heap and forwards due frames.
+// Threading: Offer is called from node threads (the sender's on the
+// in-process backend, the receiver's on TCP); one shaper thread owns
+// the release heap and forwards due frames.
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,21 @@
-// Blocking MPSC mailbox used by the threaded runtime. Producers are any
-// threads (peers' node threads, TCP reader threads, external drivers);
-// the consumer is the owning node thread.
+// MPSC mailbox used by the threaded runtime. Producers are any threads
+// (peers' node threads, the link shaper, external drivers); the
+// consumer is the owning node thread, which waits for its mailbox and
+// its sockets in one epoll set (runtime/cluster.cpp). The mailbox
+// signals an eventfd for that wait, but only while the consumer is
+// parked: a post to a busy node costs no syscall.
 #pragma once
 
-#include <chrono>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
-#include <vector>
+#include <utility>
 
 #include "common/bytes.hpp"
+#include "common/error.hpp"
 #include "common/frame.hpp"
 #include "common/thread_annotations.hpp"
 #include "sim/types.hpp"
@@ -28,79 +34,66 @@ struct MailItem {
 
 class Mailbox {
  public:
+  Mailbox() : wake_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+    SBFT_ASSERT(wake_fd_ >= 0);
+  }
+  ~Mailbox() { ::close(wake_fd_); }
+
+  Mailbox(const Mailbox&) = delete;
+  Mailbox& operator=(const Mailbox&) = delete;
+
   /// Returns false if the mailbox is closed.
   bool Push(MailItem item) {
+    bool wake = false;
     {
       MutexLock lock(mutex_);
       if (closed_) return false;
       items_.push_back(std::move(item));
+      wake = std::exchange(parked_, false);
     }
-    ready_.NotifyOne();
+    if (wake) Signal();
     return true;
   }
 
-  /// Push a whole burst (e.g. every frame decoded from one recv) under
-  /// a single lock acquisition. Returns false if the mailbox is closed;
-  /// the batch is then dropped, matching Push-after-Close semantics.
-  bool PushBatch(std::vector<MailItem>&& batch) {
-    if (batch.empty()) return true;
-    {
-      MutexLock lock(mutex_);
-      if (closed_) return false;
-      for (auto& item : batch) items_.push_back(std::move(item));
-    }
-    batch.clear();
-    ready_.NotifyOne();
-    return true;
-  }
-
-  /// Blocks until an item arrives or the mailbox is closed and drained.
-  std::optional<MailItem> Pop() {
-    MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) ready_.Wait(mutex_);
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    MailItem item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Blocks until at least one item is available, then swaps the whole
-  /// queue into `out` — one lock per drain, however many items arrived.
-  /// `out` is cleared first. Returns false only when the mailbox is
-  /// closed AND drained (runtime shutdown).
+  /// Consumer side; never blocks. Swaps the whole queue into `out` —
+  /// one lock per drain, however many items arrived — and clears the
+  /// parked mark. `out` is cleared first. Returns false only when the
+  /// mailbox is closed AND drained (runtime shutdown).
   bool Drain(std::deque<MailItem>& out) {
     out.clear();
     MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) ready_.Wait(mutex_);
-    if (items_.empty()) return false;  // closed and drained
+    parked_ = false;
+    if (items_.empty()) return !closed_;
     out.swap(items_);
     return true;
   }
 
-  /// Drain with a deadline: blocks until an item arrives, the mailbox
-  /// closes, or `deadline` passes — a timeout returns true with `out`
-  /// empty so the node loop can fire due timers and re-enter. Returns
-  /// false only when the mailbox is closed AND drained.
-  bool DrainUntil(std::deque<MailItem>& out,
-                  std::chrono::steady_clock::time_point deadline) {
-    out.clear();
+  /// Consumer side, right before it blocks on wake_fd(). Returns true
+  /// and marks the consumer parked when the mailbox is open and empty,
+  /// so that the next Push signals wake_fd(). Returns false when there
+  /// is something to drain (or the mailbox closed): do not block.
+  bool Park() {
     MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) return true;
-      ready_.WaitFor(mutex_, deadline - now);
-    }
-    if (items_.empty()) return false;  // closed and drained
-    out.swap(items_);
+    if (closed_ || !items_.empty()) return false;
+    parked_ = true;
     return true;
+  }
+
+  /// Readable once a Push to a parked consumer, or Close, signalled it;
+  /// the consumer resets it with ConsumeWake.
+  [[nodiscard]] int wake_fd() const { return wake_fd_; }
+  void ConsumeWake() {
+    std::uint64_t count = 0;
+    [[maybe_unused]] ssize_t n = ::read(wake_fd_, &count, sizeof(count));
   }
 
   void Close() {
     {
       MutexLock lock(mutex_);
       closed_ = true;
+      parked_ = false;
     }
-    ready_.NotifyAll();
+    Signal();
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -109,13 +102,20 @@ class Mailbox {
   }
 
  private:
+  void Signal() {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  }
+
   /// Leaf-ish lock: pushes happen with the load driver's run-state
   /// mutex held (StartOp under RunState::mutex reaches Push), and
   /// nothing is acquired while this mutex is held.
   mutable Mutex mutex_ ACQUIRED_AFTER(lock_order::kLoadDriver);
-  CondVar ready_;
   std::deque<MailItem> items_ GUARDED_BY(mutex_);
   bool closed_ GUARDED_BY(mutex_) = false;
+  /// Set by Park; cleared by Drain and by the Push that signals.
+  bool parked_ GUARDED_BY(mutex_) = false;
+  const int wake_fd_;
 };
 
 }  // namespace sbft

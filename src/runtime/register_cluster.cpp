@@ -18,7 +18,6 @@ RegisterId RegisterOf(std::size_t client) { return client + 1; }
 ThreadCluster::Options RegisterCluster::ClusterOptions(const Options& options) {
   ThreadCluster::Options cluster_options;
   cluster_options.use_tcp = options.use_tcp;
-  cluster_options.reactor_threads = options.reactor_threads;
   cluster_options.seed = options.seed;
   cluster_options.shaping = options.shaping;
   return cluster_options;
@@ -85,8 +84,8 @@ void RegisterCluster::AsyncWrite(std::size_t client, Value value,
   if (mux_client_ != nullptr) {
     // Always a mailbox post, even from the mux node's own thread: the
     // round-trip makes the mailbox an op accumulator, so follow-ups
-    // submitted by one drain's completion callbacks all start together
-    // in the next drain — one wide shared-flush window. Starting them
+    // submitted by one wakeup's completion callbacks all start together
+    // in the next wakeup — one wide shared-flush window. Starting them
     // in place would close a small window at the end of every receive
     // burst, multiplying NodeFlush rounds on the TCP backend (measured
     // ~25% worse at c256).

@@ -31,7 +31,9 @@ class RegisterCluster {
     /// Host all logical clients in one MuxClient node (see file
     /// comment); servers become MuxServers.
     bool multiplex = false;
-    /// Reactor threads for the TCP transport (ignored without use_tcp).
+    /// Has no effect: the TCP transport has no threads of its own (each
+    /// node thread drives its sockets). Kept so existing option sets
+    /// that assign it still compile.
     std::size_t reactor_threads = 1;
     std::size_t n_clients = 1;
     std::map<std::size_t, ByzantineStrategy> byzantine;

@@ -21,10 +21,9 @@ ShardedCluster::ShardedCluster(const Options& options) : options_(options) {
   // The sharded layer routes by 64-bit key over the mux register
   // namespace; the one-node-per-client topology has no key namespace.
   SBFT_ASSERT(options.group.multiplex);
-  // Build the groups BEFORE taking the router lock: group construction
-  // reaches the transport's bus mutex (RegisterCluster -> AddNode ->
-  // TcpBus::AddNode), and the router lock is declared to order before
-  // nothing transport-side (docs/ARCHITECTURE.md lock-order DAG). A
+  // Build the groups BEFORE taking the router lock: the router lock is
+  // declared to order before nothing runtime-side (docs/ARCHITECTURE.md
+  // lock-order DAG), and group construction binds sockets. A
   // constructor has no concurrency anyway — the lock below only
   // publishes the assembled state, as AddGroup already does.
   std::vector<std::unique_ptr<RegisterCluster>> groups;

@@ -3,9 +3,10 @@
 //
 // Each group is a full RegisterCluster — its own n > 5f server
 // population, quorum system, mux/shared-flush stack, mailbox namespace,
-// and (on TCP) its own listener sockets and epoll reactor pool — so
-// groups share NOTHING but the process: protocol work of different
-// groups runs on different node threads and scales with cores. The
+// and (on TCP) its own listener sockets and connections, each driven by
+// the node thread that owns it — so groups share NOTHING but the
+// process: protocol and socket work of different groups runs on
+// different node threads and scales with cores. The
 // router consistent-hashes 64-bit keys over the groups (core/
 // shard_map.hpp) and forwards the async register API, so the load
 // driver and benches drive a sharded deployment exactly as they drive

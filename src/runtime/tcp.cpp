@@ -6,13 +6,12 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
-#include "common/buffer_pool.hpp"
 #include "common/error.hpp"
 
 namespace sbft {
@@ -20,7 +19,10 @@ namespace {
 
 constexpr std::uint32_t kMaxTcpFrame = 16u << 20;
 constexpr std::size_t kReadChunk = 128u << 10;
-constexpr int kMaxIov = 64;
+/// Per connection and wakeup: a sender that keeps the socket full
+/// cannot hold its receiver's loop in recv. The sets are
+/// level-triggered, so the rest is reported next wakeup.
+constexpr std::size_t kReadBudget = 1u << 20;
 
 std::uint32_t LoadU32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -46,24 +48,26 @@ void SetNoDelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// The fd is closed by whichever of the reactor-side removal and
-/// TcpBus::Stop gets there first; the flag makes that race benign.
-void CloseOnce(std::atomic<bool>& fd_closed, int fd) {
-  if (fd >= 0 && !fd_closed.exchange(true)) ::close(fd);
+bool Register(int epoll_fd, int op, int fd, std::uint32_t events,
+              void* socket) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.ptr = socket;
+  return ::epoll_ctl(epoll_fd, op, fd, &ev) == 0;
 }
-
-enum class FlushResult : std::uint8_t { kDrained, kBlocked, kError };
 
 }  // namespace
 
-TcpBus::TcpBus(DeliverFn deliver, Options options)
-    : deliver_(std::move(deliver)),
-      options_(options),
-      reactor_(options.reactor_threads) {}
+TcpBus::TcpBus(Options options) : options_(options) {}
 
 TcpBus::~TcpBus() { Stop(); }
 
-std::uint16_t TcpBus::AddNode(NodeId node) {
+TcpBus::NodeSockets* TcpBus::Node(NodeId node) const {
+  return node < nodes_.size() ? nodes_[node].get() : nullptr;
+}
+
+std::uint16_t TcpBus::AddNode(NodeId node, int epoll_fd) {
+  SBFT_ASSERT(!running_);
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   SBFT_ASSERT(fd >= 0);
   const int one = 1;
@@ -81,147 +85,148 @@ std::uint16_t TcpBus::AddNode(NodeId node) {
   socklen_t len = sizeof(addr);
   SBFT_ASSERT(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr),
                             &len) == 0);
-  MutexLock lock(mutex_);
-  auto listener = std::make_unique<Listener>();
-  listener->fd = fd;
-  listener->port = ntohs(addr.sin_port);
-  const std::uint16_t port = listener->port;
-  listeners_[node] = std::move(listener);
-  if (tx_.size() <= node) tx_.resize(node + 1);
-  return port;
+  if (nodes_.size() <= node) nodes_.resize(node + 1);
+  nodes_[node] = std::make_unique<NodeSockets>();
+  NodeSockets& sockets = *nodes_[node];
+  sockets.epoll_fd = epoll_fd;
+  sockets.port = ntohs(addr.sin_port);
+  sockets.listener.fd = fd;
+  sockets.listener.node = node;
+  // Level-triggered; Accept drains until EAGAIN anyway.
+  SBFT_ASSERT(Register(epoll_fd, EPOLL_CTL_ADD, fd, EPOLLIN,
+                       &sockets.listener));
+  return sockets.port;
 }
 
-void TcpBus::Start() {
-  running_.store(true);
-  reactor_.Start();
-  MutexLock lock(mutex_);
-  for (auto& [node, listener] : listeners_) {
-    // Level-triggered accept; the handler drains until EAGAIN anyway.
-    reactor_.Add(listener->fd, EPOLLIN,
-                 [this, id = node, fd = listener->fd](std::uint32_t) {
-                   AcceptEvent(id, fd);
-                 });
+void TcpBus::Start() { running_ = true; }
+
+void TcpBus::OnEvent(void* socket, std::uint32_t events) {
+  auto* target = static_cast<Socket*>(socket);
+  switch (target->kind) {
+    case Kind::kListener:
+      Accept(*target);
+      break;
+    case Kind::kInbound:
+      Read(static_cast<Inbound&>(*target), events);
+      break;
+    case Kind::kOutbound:
+      OnOutboundEvent(static_cast<Outbound&>(*target), events);
+      break;
   }
 }
 
-void TcpBus::AcceptEvent(NodeId node, int listen_fd) {
+void TcpBus::Accept(const Socket& listener) {
+  NodeSockets& sockets = *nodes_[listener.node];
   while (true) {
-    const int fd =
-        ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = ::accept4(listener.fd, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN, or the listener is going down
     SetNoDelay(fd);
-    auto peer = std::make_shared<PeerConn>();
-    peer->fd = fd;
-    peer->dst = node;
-    {
-      MutexLock lock(mutex_);
-      peers_.push_back(peer);
+    auto in = std::make_unique<Inbound>();
+    in->fd = fd;
+    in->node = listener.node;
+    if (!Register(sockets.epoll_fd, EPOLL_CTL_ADD, fd, EPOLLIN,
+                  static_cast<Socket*>(in.get()))) {
+      ::close(fd);
+      continue;
     }
-    if (!reactor_.Add(fd, EPOLLIN | EPOLLRDHUP | EPOLLET,
-                      [this, peer](std::uint32_t events) {
-                        ReadEvent(peer, events);
-                      })) {
-      CloseOnce(peer->fd_closed, fd);
-    }
+    sockets.inbound.push_back(std::move(in));
   }
 }
 
-bool TcpBus::ParseFrames(PeerConn& peer, std::vector<Delivery>& batch) {
-  const std::uint8_t* data = peer.inbuf.data();
-  while (peer.len - peer.off >= 8) {
-    const std::uint32_t length = LoadU32(data + peer.off);
-    const NodeId src = LoadU32(data + peer.off + 4);
-    if (length > kMaxTcpFrame) return false;  // malformed: drop connection
-    if (peer.len - peer.off - 8 < length) break;  // torn frame: wait
-    Bytes frame = FramePool().Acquire();
-    frame.assign(data + peer.off + 8, data + peer.off + 8 + length);
-    batch.push_back(Delivery{src, std::move(frame)});
-    peer.off += 8 + static_cast<std::size_t>(length);
-  }
-  if (peer.off == peer.len) {
-    peer.off = 0;
-    peer.len = 0;
-  }
-  return true;
-}
-
-void TcpBus::ReadEvent(const std::shared_ptr<PeerConn>& peer,
-                       std::uint32_t events) {
-  if (peer->closed) return;
-  std::vector<Delivery> batch;
-  bool drop = false;
+void TcpBus::Read(Inbound& in, std::uint32_t events) {
+  if (in.closing) return;
+  std::size_t budget = kReadBudget;
   while (true) {
     // Make room for the next chunk: slide any partial frame to the
     // front, then grow the capacity buffer if still needed.
-    if (peer->off > 0) {
-      std::memmove(peer->inbuf.data(), peer->inbuf.data() + peer->off,
-                   peer->len - peer->off);
-      peer->len -= peer->off;
-      peer->off = 0;
+    if (in.off > 0) {
+      std::memmove(in.inbuf.data(), in.inbuf.data() + in.off, in.len - in.off);
+      in.len -= in.off;
+      in.off = 0;
     }
-    if (peer->inbuf.size() - peer->len < kReadChunk) {
-      peer->inbuf.resize(peer->len + kReadChunk);
+    if (in.inbuf.size() - in.len < kReadChunk) {
+      in.inbuf.resize(in.len + kReadChunk);
     }
-    const ssize_t n = ::recv(peer->fd, peer->inbuf.data() + peer->len,
-                             peer->inbuf.size() - peer->len, 0);
+    const std::size_t room = in.inbuf.size() - in.len;
+    const ssize_t n = ::recv(in.fd, in.inbuf.data() + in.len, room, 0);
     if (n > 0) {
-      peer->len += static_cast<std::size_t>(n);
-      if (!ParseFrames(*peer, batch)) {
-        drop = true;
-        break;
-      }
-      continue;  // edge-triggered: drain until EAGAIN
+      const auto got = static_cast<std::size_t>(n);
+      in.len += got;
+      if (got < room || got >= budget) break;  // short read: drained
+      budget -= got;
+      continue;
     }
     if (n == 0) {
-      drop = true;  // peer closed
+      in.closing = true;  // peer closed
       break;
     }
     if (errno == EINTR) continue;
-    if (errno != EAGAIN && errno != EWOULDBLOCK) drop = true;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) in.closing = true;
     break;
   }
-  if (!batch.empty()) deliver_(peer->dst, std::move(batch));
-  if (drop || (events & (EPOLLERR | EPOLLHUP))) ClosePeer(peer);
-}
-
-void TcpBus::ClosePeer(const std::shared_ptr<PeerConn>& peer) {
-  if (peer->closed) return;
-  peer->closed = true;
-  reactor_.RemoveAndClose(peer->fd, [peer] {
-    peer->fd_closed.store(true);  // RemoveAndClose performed the close
-  });
-}
-
-std::shared_ptr<TcpBus::Connection> TcpBus::Connect(NodeId src, NodeId dst) {
-  std::uint16_t port = 0;
-  {
-    MutexLock lock(mutex_);
-    auto it = listeners_.find(dst);
-    if (it == listeners_.end()) return nullptr;
-    port = it->second->port;
+  if (events & (EPOLLERR | EPOLLHUP)) in.closing = true;
+  if (!in.ready) {
+    in.ready = true;
+    nodes_[in.node]->ready.push_back(&in);
   }
+}
+
+void TcpBus::Deliver(NodeId node, const FrameFn& fn) {
+  NodeSockets& sockets = *nodes_[node];
+  if (sockets.ready.empty()) return;
+  bool closed = false;
+  for (Inbound* in : sockets.ready) {
+    in->ready = false;
+    while (in->len - in->off >= 8) {
+      const std::uint8_t* head = in->inbuf.data() + in->off;
+      const std::uint32_t length = LoadU32(head);
+      if (length > kMaxTcpFrame) {  // malformed: drop this connection
+        in->closing = true;
+        break;
+      }
+      if (in->len - in->off - 8 < length) break;  // torn frame: wait
+      in->off += 8 + static_cast<std::size_t>(length);
+      fn(LoadU32(head + 4), BytesView(head + 8, length));
+    }
+    if (in->off == in->len) {
+      in->off = 0;
+      in->len = 0;
+    }
+    if (in->closing) {
+      Close(*in);
+      closed = true;
+    }
+  }
+  sockets.ready.clear();
+  if (closed) {
+    std::erase_if(sockets.inbound, [](const auto& in) { return in->fd < 0; });
+  }
+}
+
+std::shared_ptr<TcpBus::Outbound> TcpBus::Connect(NodeId src, NodeId dst) {
+  const NodeSockets* peer = Node(dst);
+  if (peer == nullptr) return nullptr;
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return nullptr;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
+  addr.sin_port = htons(peer->port);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
     return nullptr;  // degraded: the caller's op fails/retries cleanly
   }
   SetNoDelay(fd);
   SetNonBlocking(fd);
-  auto conn = std::make_shared<Connection>();
+  auto conn = std::make_shared<Outbound>();
   conn->fd = fd;
-  conn->src = src;
+  conn->node = src;
   conn->dst = dst;
   // Outgoing connections carry no inbound protocol traffic; readability
-  // means EOF or reset, which the reactor turns into a dead connection.
-  if (!reactor_.Add(fd, EPOLLIN | EPOLLRDHUP | EPOLLET,
-                    [this, conn](std::uint32_t events) {
-                      OutgoingEvent(conn, events);
-                    })) {
+  // means EOF or reset, which OnEvent turns into a dead connection.
+  if (!Register(nodes_[src]->epoll_fd, EPOLL_CTL_ADD, fd, EPOLLIN,
+                static_cast<Socket*>(conn.get()))) {
     ::close(fd);
     return nullptr;
   }
@@ -229,176 +234,147 @@ std::shared_ptr<TcpBus::Connection> TcpBus::Connect(NodeId src, NodeId dst) {
 }
 
 bool TcpBus::Send(NodeId src, NodeId dst, BytesView frame) {
-  if (!running_.load(std::memory_order_acquire)) return false;
-  if (src >= tx_.size()) return false;
-  Tx& tx = tx_[src];
-  std::shared_ptr<Connection> conn;
-  if (auto it = tx.conns.find(dst); it != tx.conns.end()) {
+  if (!running_) return false;
+  NodeSockets* sockets = Node(src);
+  if (sockets == nullptr) return false;
+  std::shared_ptr<Outbound> conn;
+  if (auto it = sockets->outbound.find(dst);
+      it != sockets->outbound.end() && !it->second->dead) {
     conn = it->second;
-    bool dead;
-    {
-      MutexLock lock(conn->mutex);
-      dead = conn->dead;
-    }
-    if (dead) conn = nullptr;  // lazily reconnect below
   }
-  if (!conn) {
+  if (!conn) {  // first send, or lazily reconnect a dead connection
     conn = Connect(src, dst);
     if (!conn) {
-      tx.conns.erase(dst);
+      sockets->outbound.erase(dst);
       return false;
     }
-    tx.conns[dst] = conn;
+    sockets->outbound[dst] = conn;
+  }
+  Bytes& out = conn->out;
+  if (out.size() - conn->sent + 8 + frame.size() >
+      options_.max_pending_bytes) {
+    MarkDead(*conn);  // peer stopped reading; degrade, don't buffer
+    return false;
   }
 
-  // Frame [len][src][payload] into a pooled buffer and queue it; the
-  // bytes hit the wire on Flush (or via the reactor when backlogged).
-  Bytes buf = FramePool().Acquire();
-  buf.resize(8);
-  StoreU32(buf.data(), static_cast<std::uint32_t>(frame.size()));
-  StoreU32(buf.data() + 4, src);
-  buf.insert(buf.end(), frame.begin(), frame.end());
-  {
-    MutexLock lock(conn->mutex);
-    if (conn->dead) return false;
-    if (conn->pending_bytes + buf.size() > options_.max_pending_bytes) {
-      MarkDeadLocked(conn);  // peer stopped reading; degrade, don't buffer
-      return false;
-    }
-    conn->pending_bytes += buf.size();
-    conn->pending.push_back(std::move(buf));
-  }
+  // Append [len][src][payload]; the bytes hit the wire on Flush (or
+  // from OnEvent when backlogged).
+  const std::size_t at = out.size();
+  out.resize(at + 8);
+  StoreU32(out.data() + at, static_cast<std::uint32_t>(frame.size()));
+  StoreU32(out.data() + at + 4, src);
+  out.insert(out.end(), frame.begin(), frame.end());
   if (!conn->in_dirty) {
     conn->in_dirty = true;
-    tx.dirty.push_back(std::move(conn));
+    sockets->dirty.push_back(std::move(conn));
   }
   return true;
 }
 
 void TcpBus::Flush(NodeId src) {
-  if (src >= tx_.size()) return;
-  Tx& tx = tx_[src];
-  for (auto& conn : tx.dirty) {
+  NodeSockets* sockets = Node(src);
+  if (sockets == nullptr) return;
+  for (auto& conn : sockets->dirty) {
     conn->in_dirty = false;
-    MutexLock lock(conn->mutex);
-    if (conn->dead || conn->epollout_armed) continue;  // reactor's turn
-    if (FlushLocked(conn) == static_cast<int>(FlushResult::kError)) {
-      MarkDeadLocked(conn);
-    }
+    // A backlogged connection is continued by OnEvent on EPOLLOUT.
+    if (conn->dead || conn->epollout_armed) continue;
+    if (Write(*conn) == FlushResult::kError) MarkDead(*conn);
   }
-  tx.dirty.clear();
+  sockets->dirty.clear();
 }
 
-/// Returns a FlushResult as int (keeps the enum private to this TU).
-int TcpBus::FlushLocked(const std::shared_ptr<Connection>& conn) {
-  while (!conn->pending.empty()) {
-    iovec iov[kMaxIov];
-    int iovcnt = 0;
-    for (auto it = conn->pending.begin();
-         it != conn->pending.end() && iovcnt < kMaxIov; ++it, ++iovcnt) {
-      const std::size_t skip = (iovcnt == 0) ? conn->front_offset : 0;
-      iov[iovcnt].iov_base = it->data() + skip;
-      iov[iovcnt].iov_len = it->size() - skip;
+TcpBus::FlushResult TcpBus::Write(Outbound& conn) {
+  while (conn.sent < conn.out.size()) {
+    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.sent,
+                             conn.out.size() - conn.sent, MSG_NOSIGNAL);
+    if (n >= 0) {
+      conn.sent += static_cast<std::size_t>(n);
+      continue;
     }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
-    const ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (!conn->epollout_armed) {
-          conn->epollout_armed = true;
-          reactor_.Modify(conn->fd,
-                          EPOLLIN | EPOLLRDHUP | EPOLLOUT | EPOLLET);
-        }
-        return static_cast<int>(FlushResult::kBlocked);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      // Drop what already went out, so a long backlog holds only
+      // unsent bytes.
+      conn.out.erase(conn.out.begin(),
+                     conn.out.begin() + static_cast<std::ptrdiff_t>(conn.sent));
+      conn.sent = 0;
+      if (!conn.epollout_armed) {
+        conn.epollout_armed = true;
+        Register(nodes_[conn.node]->epoll_fd, EPOLL_CTL_MOD, conn.fd,
+                 EPOLLIN | EPOLLOUT, static_cast<Socket*>(&conn));
       }
-      return static_cast<int>(FlushResult::kError);  // EPIPE/ECONNRESET/...
+      return FlushResult::kBlocked;
     }
-    std::size_t left = static_cast<std::size_t>(n);
-    while (left > 0) {
-      Bytes& front = conn->pending.front();
-      const std::size_t avail = front.size() - conn->front_offset;
-      if (left >= avail) {
-        left -= avail;
-        conn->pending_bytes -= front.size();
-        conn->front_offset = 0;
-        FramePool().Release(std::move(front));
-        conn->pending.pop_front();
-      } else {
-        conn->front_offset += left;  // partial write: resume here
-        left = 0;
-      }
-    }
+    return FlushResult::kError;  // EPIPE/ECONNRESET/...
   }
-  return static_cast<int>(FlushResult::kDrained);
+  conn.out.clear();  // keeps the capacity for the next wakeup's frames
+  conn.sent = 0;
+  return FlushResult::kDrained;
 }
 
-void TcpBus::OutgoingEvent(const std::shared_ptr<Connection>& conn,
-                           std::uint32_t events) {
-  MutexLock lock(conn->mutex);
-  if (conn->dead) return;
-  if (events & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP)) {
+void TcpBus::OnOutboundEvent(Outbound& conn, std::uint32_t events) {
+  if (conn.dead) return;
+  if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) {
     std::uint8_t scratch[256];
     ssize_t n;
-    while ((n = ::recv(conn->fd, scratch, sizeof(scratch), 0)) > 0) {
+    while ((n = ::recv(conn.fd, scratch, sizeof(scratch), 0)) > 0) {
     }
     const bool reset =
         n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
                    errno != EINTR);
     if (reset || (events & (EPOLLERR | EPOLLHUP))) {
-      MarkDeadLocked(conn);
+      MarkDead(conn);
       return;
     }
   }
   if (events & EPOLLOUT) {
-    conn->epollout_armed = false;
-    const int result = FlushLocked(conn);
-    if (result == static_cast<int>(FlushResult::kError)) {
-      MarkDeadLocked(conn);
-    } else if (result == static_cast<int>(FlushResult::kDrained)) {
-      reactor_.Modify(conn->fd, EPOLLIN | EPOLLRDHUP | EPOLLET);
+    const FlushResult result = Write(conn);
+    if (result == FlushResult::kError) {
+      MarkDead(conn);
+    } else if (result == FlushResult::kDrained) {
+      conn.epollout_armed = false;
+      Register(nodes_[conn.node]->epoll_fd, EPOLL_CTL_MOD, conn.fd, EPOLLIN,
+               static_cast<Socket*>(&conn));
     }
   }
 }
 
-void TcpBus::MarkDeadLocked(const std::shared_ptr<Connection>& conn) {
-  if (conn->dead) return;
-  conn->dead = true;
-  conn->pending.clear();
-  conn->pending_bytes = 0;
-  conn->front_offset = 0;
+void TcpBus::MarkDead(Outbound& conn) {
+  if (conn.dead) return;
+  conn.dead = true;
+  conn.out = Bytes();
+  conn.sent = 0;
   connections_dropped_.fetch_add(1, std::memory_order_relaxed);
-  // Wake anything blocked on the socket, then hand the close to the
-  // owning reactor loop so no handler races its own fd being reused.
-  // The lambda keeps the connection alive until the close has run.
-  ::shutdown(conn->fd, SHUT_RDWR);
-  reactor_.RemoveAndClose(conn->fd, [conn] { conn->fd_closed.store(true); });
+  Close(conn);
+}
+
+void TcpBus::Close(Socket& socket) {
+  if (socket.fd < 0) return;
+  // Deregister explicitly: a forked child holding a copy of the fd
+  // would otherwise keep it in the set after close.
+  ::epoll_ctl(nodes_[socket.node]->epoll_fd, EPOLL_CTL_DEL, socket.fd,
+              nullptr);
+  ::close(socket.fd);
+  socket.fd = -1;
 }
 
 void TcpBus::DropConnection(NodeId src, NodeId dst) {
-  if (src >= tx_.size()) return;
-  auto it = tx_[src].conns.find(dst);
-  if (it == tx_[src].conns.end()) return;
-  const std::shared_ptr<Connection> conn = it->second;
-  MutexLock lock(conn->mutex);
-  MarkDeadLocked(conn);
+  NodeSockets* sockets = Node(src);
+  if (sockets == nullptr) return;
+  auto it = sockets->outbound.find(dst);
+  if (it != sockets->outbound.end()) MarkDead(*it->second);
 }
 
 void TcpBus::Stop() {
-  if (stopped_.exchange(true)) return;
-  running_.store(false);
-  reactor_.Stop();
-  // Loops are joined and leftover removal commands ran inline; every
-  // fd not yet closed through the reactor is closed here.
-  MutexLock lock(mutex_);
-  for (auto& [node, listener] : listeners_) {
-    CloseOnce(listener->fd_closed, listener->fd);
-  }
-  for (auto& peer : peers_) CloseOnce(peer->fd_closed, peer->fd);
-  for (auto& tx : tx_) {
-    for (auto& [dst, conn] : tx.conns) CloseOnce(conn->fd_closed, conn->fd);
+  if (stopped_) return;
+  stopped_ = true;
+  running_ = false;
+  // No thread drives the bus any more; every socket closes here.
+  for (auto& sockets : nodes_) {
+    if (!sockets) continue;
+    Close(sockets->listener);
+    for (auto& in : sockets->inbound) Close(*in);
+    for (auto& [dst, conn] : sockets->outbound) Close(*conn);
   }
 }
 

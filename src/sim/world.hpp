@@ -53,13 +53,14 @@ class Automaton {
 
   virtual void OnTimer(int /*timer_id*/, IEndpoint& /*endpoint*/) {}
 
-  /// Runtime batch boundary: a threaded backend delivers mailbox items
-  /// in drained batches and brackets each non-empty batch with these
-  /// hooks, so an automaton can coalesce everything it sends in
-  /// response to one wakeup into shared frames (the protocol-round
-  /// batching seam; see core/mux.hpp). The sim world delivers one
-  /// event at a time and never calls them — handlers must therefore
-  /// not depend on the hooks for correctness, only for coalescing.
+  /// Runtime batch boundary: a threaded backend dispatches the frames
+  /// and tasks of each wakeup together and brackets each non-empty
+  /// wakeup with these hooks, so an automaton can coalesce everything
+  /// it sends in response to one wakeup into shared frames (the
+  /// protocol-round batching seam; see core/mux.hpp). The sim world
+  /// delivers one event at a time and never calls them — handlers must
+  /// therefore not depend on the hooks for correctness, only for
+  /// coalescing.
   virtual void OnBatchStart(IEndpoint& /*endpoint*/) {}
   virtual void OnBatchEnd(IEndpoint& /*endpoint*/) {}
 

@@ -1,8 +1,8 @@
-// Fixture: blocking primitive reachable from a reactor handler. The
-// lambda registered with Reactor::Add runs on the event loop; its
-// OnReadable() path parks on an unbounded CondVar::Wait, stalling
-// every connection hosted by that loop. Expected: exactly one check
-// trips — reactor-blocking.
+// Fixture: blocking primitive reachable from a node-loop entry point.
+// Automaton::OnFrame runs on the node's thread, which is also the event
+// loop for the node's mailbox and sockets; its DrainBacklog() path
+// parks on an unbounded CondVar::Wait, stalling every connection the
+// node owns. Expected: exactly one check trips — reactor-blocking.
 
 namespace sbft {
 
@@ -24,20 +24,22 @@ class CondVar {
   void NotifyOne();
 };
 
-class Reactor {
+class IEndpoint {};
+
+class Automaton {
  public:
-  template <class Handler>
-  void Add(int fd, Handler handler);
+  virtual ~Automaton() = default;
+  virtual void OnFrame(int from, int frame, IEndpoint& endpoint) = 0;
 };
 
-class Server {
+class Server final : public Automaton {
  public:
-  void Start(int fd) {
-    reactor_.Add(fd, [this] { OnReadable(); });
+  void OnFrame(int from, int frame, IEndpoint& endpoint) override {
+    DrainBacklog();
   }
 
  private:
-  void OnReadable() {
+  void DrainBacklog() {
     MutexLock guard(mutex_);
     while (!has_data_) {
       ready_.Wait(mutex_);
@@ -45,7 +47,6 @@ class Server {
     has_data_ = false;
   }
 
-  Reactor reactor_;
   Mutex mutex_;
   CondVar ready_;
   bool has_data_ = false;

@@ -1,8 +1,8 @@
-// Fixture: reactor handler that never blocks. The registered lambda
-// drains under a plain mutex (bounded critical section) and defers
-// slow work instead of waiting for it; the only wait primitive in the
-// file is the bounded WaitFor, and it lives on a non-reactor thread.
-// Expected: clean.
+// Fixture: node-loop entry points that never block. OnFrame and the
+// task posted to the node queue work under a plain mutex (bounded
+// critical section) instead of waiting for it; the only wait primitive
+// in the file is the bounded WaitFor, and it runs on a pacing thread,
+// not a node thread. Expected: clean.
 
 namespace sbft {
 
@@ -25,33 +25,44 @@ class CondVar {
   void NotifyOne();
 };
 
-class Reactor {
+class IEndpoint {};
+
+class Automaton {
  public:
-  template <class Handler>
-  void Add(int fd, Handler handler);
+  virtual ~Automaton() = default;
+  virtual void OnFrame(int from, int frame, IEndpoint& endpoint) = 0;
 };
 
-class Server {
+class Cluster {
  public:
-  void Start(int fd) {
-    reactor_.Add(fd, [this] { OnReadable(); });
+  template <class Task>
+  void PostToNode(int node, Task task);
+};
+
+class Server final : public Automaton {
+ public:
+  void OnFrame(int from, int frame, IEndpoint& endpoint) override {
+    Enqueue();
   }
 
-  // Runs on the pacing thread, not a reactor thread: the bounded wait
-  // here is fine and must not be attributed to the handler above.
+  void Kick(Cluster& cluster, int node) {
+    cluster.PostToNode(node, [this] { Enqueue(); });
+  }
+
+  // Runs on the pacing thread, not a node thread: the bounded wait
+  // here is fine and must not be attributed to the entry points above.
   void PacerTick(int budget_ms) {
     MutexLock guard(mutex_);
     ready_.WaitFor(mutex_, budget_ms);
   }
 
  private:
-  void OnReadable() {
+  void Enqueue() {
     MutexLock guard(mutex_);
     pending_ += 1;
     ready_.NotifyOne();
   }
 
-  Reactor reactor_;
   Mutex mutex_;
   CondVar ready_;
   long pending_ = 0;

@@ -19,7 +19,6 @@ import subprocess
 import sys
 
 POSITIVE_TUS = [
-    "runtime/reactor.cpp",
     "runtime/tcp.cpp",
     "runtime/cluster.cpp",
     "runtime/register_cluster.cpp",

@@ -16,20 +16,25 @@ checks over it:
                        cycle — a static lock-order inversion — and (b)
                        any observed edge between two anchored families
                        that the declared DAG does not admit.
-  reactor-blocking     Seeds a "runs on a reactor thread" taint at every
-                       lambda handed to Reactor::Add/Post/RemoveAndClose
-                       or to the TcpBus delivery callback, propagates it
-                       through the call graph, and flags blocking
-                       primitives (unbounded CondVar::Wait, sleeps,
-                       thread joins, blocking syscalls) reachable from a
-                       handler. Calls through std::function values are
-                       opaque by design: deferred callbacks run on their
-                       executor's thread, not the poster's.
+  reactor-blocking     Every node thread is the event loop for its own
+                       mailbox and sockets, so a node that blocks stalls
+                       both. Seeds a "runs on a node loop" taint at the
+                       loop's entry points — lambdas handed to
+                       PostToNode/RunOnNode or, as completion callbacks,
+                       to AsyncWrite/AsyncRead, and the OnFrame/
+                       OnBatchEnd/OnTimer overrides of Automaton
+                       subclasses — propagates it through the call
+                       graph, and flags blocking primitives (unbounded
+                       CondVar::Wait, future/condition-variable waits,
+                       sleeps, thread joins, blocking syscalls)
+                       reachable from them. Calls through std::function
+                       values are opaque by design: deferred callbacks
+                       run on their executor's thread, not the poster's.
   frame-escape         Flags borrowed BytesView/span payloads that
                        escape their drain scope: stored into a member of
                        a long-lived object, pushed into a member
                        container, or captured by a lambda handed to a
-                       deferral sink (Post/PostToNode/Push/PushBatch).
+                       deferral sink (Post/PostToNode/Push).
                        Wire-message structs (src/net/message.hpp) hold
                        views *by design* — the hazard this check targets
                        is persisting a view past the frame pool's reuse
@@ -105,8 +110,9 @@ ANNOTATION_HEADER = os.path.join("src", "common", "thread_annotations.hpp")
 CHECKS = {
     "lock-order": "lock acquisition graph has an inversion cycle or an "
                   "edge the declared ACQUIRED_BEFORE DAG does not admit",
-    "reactor-blocking": "blocking primitive reachable from a reactor "
-                        "handler (stalls every connection on that loop)",
+    "reactor-blocking": "blocking primitive reachable from a node-loop "
+                        "entry point (stalls that node's mailbox and "
+                        "sockets)",
     "frame-escape": "borrowed frame payload (BytesView/span) escapes its "
                     "drain scope (member store or deferred capture)",
     "wall-clock-flow": "clock value flows into state in the deterministic "
@@ -123,19 +129,26 @@ CHECKS = {
 ALLOW_RE = re.compile(
     r"//\s*sbft-analyze:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
-# Lambdas handed to these (receiver-typed Reactor) run on reactor
-# threads; TcpBus's constructor delivery callback does too.
-REACTOR_SINKS = ("Add", "Post", "RemoveAndClose")
+# Lambdas handed to these run on a node thread, the event loop of that
+# node's mailbox and sockets: posted tasks and completion callbacks.
+NODE_LOOP_SINKS = ("PostToNode", "RunOnNode", "AsyncWrite", "AsyncRead")
+# Automaton overrides the node loop dispatches into.
+NODE_LOOP_METHODS = ("OnFrame", "OnBatchEnd", "OnTimer")
+NODE_LOOP_BASE = "Automaton"
 # Lambdas handed to these run later, on another thread, after the
 # current drain/batch scope is gone.
-DEFER_SINKS = ("Post", "PostToNode", "Push", "PushBatch")
-# Call names treated as blocking when reached from a reactor handler.
-# `Wait` is the exact unbounded CondVar::Wait — WaitFor is bounded and
-# allowed. recv/send/accept4 are excluded: every runtime socket is
-# nonblocking (documented limitation, not an oversight).
-BLOCKING_CALLS = ("Wait", "sleep_for", "sleep_until", "usleep",
-                  "nanosleep", "sleep", "join", "epoll_wait", "ppoll",
-                  "poll", "select")
+DEFER_SINKS = ("Post", "PostToNode", "Push")
+# Call names treated as blocking when reached from a node loop. `Wait`
+# is the exact unbounded CondVar::Wait; `wait`/`wait_for`/`wait_until`
+# are the std::future and std::condition_variable waits — a node that
+# waits for an operation only its own thread can complete deadlocks
+# until the timeout. recv/send/accept4 are excluded: every runtime
+# socket is nonblocking (documented limitation, not an oversight).
+BLOCKING_CALLS = ("Wait", "wait", "wait_for", "wait_until", "sleep_for",
+                  "sleep_until", "usleep", "nanosleep", "sleep", "join",
+                  "epoll_wait", "epoll_pwait2", "ppoll", "poll", "select")
+# Bounded waits: allowed, and not descended into.
+BOUNDED_WAITS = ("WaitFor",)
 VIEW_TYPE_RE = re.compile(r"\bBytesView\b|\bstd::span\s*<|\bstring_view\b")
 UNORDERED_TYPE_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\b")
 MUTEX_TYPE_RE = re.compile(r"(?<!std::)\bMutex\b")
@@ -422,6 +435,7 @@ class ClassInfo:
     qname: str
     path: str
     members: dict = field(default_factory=dict)  # name -> Member
+    bases: tuple = ()    # simple names of the direct base classes
 
 
 @dataclass
@@ -665,10 +679,25 @@ def lambda_sink(parent_masked: str, parent_base: int, bracket_abs: int):
 # --- Per-file extraction ---------------------------------------------------
 
 
+def class_bases(header: str) -> tuple:
+    """Simple names of the base classes in a class head such as
+    `class Foo final : public Bar, private Baz`."""
+    h = strip_templates(header)
+    cm = CLASS_HEAD_RE.search(h)
+    if not cm:
+        return ()
+    rest = re.sub(r"^\s*final\b", "", h[cm.end():]).strip()
+    if not rest.startswith(":") or rest.startswith("::"):
+        return ()
+    return tuple(part.split()[-1].split("::")[-1]
+                 for part in split_top_level(rest[1:]) if part.split())
+
+
 def parse_class(program: Program, scope: Scope, text: str, path: str,
                 line_starts):
     info = program.classes.setdefault(scope.qname,
                                       ClassInfo(scope.qname, path))
+    info.bases = info.bases or class_bases(scope.header)
     direct = []
     chars = list(text[scope.start:scope.end])
     for child in scope.children:
@@ -1376,28 +1405,34 @@ def check_lock_order(program: Program, resolver: Resolver):
 # -- reactor-blocking -------------------------------------------------------
 
 
-def reactor_roots(program: Program, resolver: Resolver):
+def derives_from(resolver: Resolver, cls, base: str, seen=None) -> bool:
+    seen = set() if seen is None else seen
+    if cls is None or cls in seen:
+        return False
+    seen.add(cls)
+    ci = resolver.program.classes.get(cls)
+    for name in (ci.bases if ci else ()):
+        if name == base or derives_from(
+                resolver, resolver.resolve_class(name, cls), base, seen):
+            return True
+    return False
+
+
+def node_loop_roots(program: Program, resolver: Resolver):
     roots = []
     for fn in program.all_functions:
-        if not fn.is_lambda or not fn.sink:
-            continue
-        recv, name, tmpl = fn.sink
-        if tmpl and tmpl.split("::")[-1] == "TcpBus":
-            roots.append(fn)  # TcpBus delivery callback runs on a loop
-            continue
-        if name not in REACTOR_SINKS:
-            continue
-        cls = resolver.resolve_chain_class(fn.parent, recv) \
-            if (recv and fn.parent) else None
-        if (cls and cls.split("::")[-1] == "Reactor") or \
-                re.search(r"reactor", recv or "", re.I):
+        if fn.is_lambda:
+            if fn.sink and fn.sink[1] in NODE_LOOP_SINKS:
+                roots.append(fn)
+        elif fn.qname.split("::")[-1] in NODE_LOOP_METHODS and \
+                derives_from(resolver, fn.owner_class, NODE_LOOP_BASE):
             roots.append(fn)
     return sorted(roots, key=lambda f: (f.path, f.line, f.qname))
 
 
 def check_reactor_blocking(program: Program, resolver: Resolver):
     findings = []
-    for root in reactor_roots(program, resolver):
+    for root in node_loop_roots(program, resolver):
         seen = set()
         work = [(root, (root.qname,))]
         while work:
@@ -1409,9 +1444,12 @@ def check_reactor_blocking(program: Program, resolver: Resolver):
                 if c.name in BLOCKING_CALLS:
                     findings.append(Finding(
                         fn.path, c.line, "reactor-blocking",
-                        f"blocking call {c.name}() reachable from a reactor "
-                        f"handler ({' -> '.join(chain)}); reactor threads "
-                        f"must never block"))
+                        f"blocking call {c.name}() reachable from a "
+                        f"node-loop entry point ({' -> '.join(chain)}); a "
+                        f"node thread drives its own mailbox and sockets "
+                        f"and must never block"))
+                if c.name in BOUNDED_WAITS:
+                    continue
                 for callee in resolver.callees(fn, c):
                     work.append((callee, chain + (callee.qname,)))
     return findings
