@@ -81,12 +81,13 @@ class EquivocateServer final : public RegisterServer {
     // Forged values need owned storage: ReplyMsg carries views, and a
     // view of a temporary would dangle before the encode below.
     const Bytes forged = RandomBytes(noise_, 4);
+    const std::vector<VersionedValue> history = old_vals();
     std::vector<Bytes> forged_hist;
-    forged_hist.reserve(old_vals().size());
+    forged_hist.reserve(history.size());
     ReplyMsg reply;
     reply.value = forged;  // forged value, real timestamp
     reply.ts = current().ts;
-    for (const VersionedValue& old : old_vals()) {
+    for (const VersionedValue& old : history) {
       forged_hist.push_back(RandomBytes(noise_, 4));
       reply.old_vals.push_back(WireVersioned{forged_hist.back(), old.ts});
     }

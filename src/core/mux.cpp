@@ -161,7 +161,9 @@ RegisterServer& MuxServer::GetOrCreate(RegisterId id) {
 void MuxServer::OnFrame(NodeId from, BytesView frame, IEndpoint& endpoint) {
   auto decoded = DecodeMessage(frame);
   if (!decoded.ok()) return;
-  if (const auto* flush = std::get_if<NodeFlushMsg>(&decoded.value())) {
+  // Held non-const so the FLUSH echo can move its item vector.
+  Message message = std::move(decoded).value();
+  if (auto* flush = std::get_if<NodeFlushMsg>(&message)) {
     // Node-level FLUSH: echo the whole item vector in one ack frame.
     // The honest per-register handler (RegisterServer::HandleFlush) is
     // a pure echo, so one node-level echo is semantically identical
@@ -173,18 +175,18 @@ void MuxServer::OnFrame(NodeId from, BytesView frame, IEndpoint& endpoint) {
     // processed, which is exactly what the inner label discipline
     // needs from a flush ack.
     NodeFlushAckMsg ack;
-    ack.items = std::move(std::get<NodeFlushMsg>(decoded.value()).items);
+    ack.items = std::move(flush->items);
     if (flush_ack_mutator_) flush_ack_mutator_(ack.items);
     ++node_flushes_acked_;
     endpoint.Send(from, EncodeMessage(Message(ack)));
     return;
   }
-  if (const auto* mux = std::get_if<MuxMsg>(&decoded.value())) {
+  if (const auto* mux = std::get_if<MuxMsg>(&message)) {
     WrapEndpoint wrapped(endpoint, mux->register_id);
     GetOrCreate(mux->register_id).OnFrame(from, mux->inner, wrapped);
     return;
   }
-  const auto* batch = std::get_if<MuxBatchMsg>(&decoded.value());
+  const auto* batch = std::get_if<MuxBatchMsg>(&message);
   if (batch == nullptr) return;  // bare frames are not for a mux server
   // Apply the whole vector of register sub-ops; replies collected while
   // dispatching leave as one batch frame per destination, so the reply

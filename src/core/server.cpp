@@ -1,11 +1,54 @@
 #include "core/server.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/buffer_pool.hpp"
 
 namespace sbft {
+namespace {
+
+// A reply prefix's head starts right after its one-byte REPLY tag.
+constexpr std::size_t kHeadAt = sizeof(std::uint8_t);
+
+// Walk one encoded (value, timestamp) pair of reply_prefix_, the head or
+// a history entry: value bytes, label sting, antisting run, writer id.
+// The prefix is the server's own encoding, but its labels may be garbage
+// of any antisting count (CorruptState).
+void SkipVersioned(BufReader& r) {
+  (void)r.GetBytesView();
+  (void)r.Get<std::uint32_t>();
+  const auto antistings = r.Get<std::uint32_t>();
+  (void)r.Skip(static_cast<std::size_t>(antistings) * sizeof(std::uint32_t));
+  (void)r.Get<ClientId>();
+}
+
+// Offset of the history count in a reply prefix: past the tag and the
+// head.
+std::size_t HistoryOffset(BytesView prefix) {
+  BufReader r(prefix);
+  (void)r.Skip(kHeadAt);
+  SkipVersioned(r);
+  SBFT_ASSERT(!r.failed());
+  return r.pos();
+}
+
+// Replace buf[begin, end) with `bytes`, moving the tail once: within
+// capacity when the caller reserved.
+void Splice(Bytes& buf, std::size_t begin, std::size_t end, BytesView bytes) {
+  const auto replaced = static_cast<std::ptrdiff_t>(end - begin);
+  const auto common = std::min(replaced, std::ssize(bytes));
+  const auto at = buf.begin() + static_cast<std::ptrdiff_t>(begin);
+  std::copy_n(bytes.begin(), common, at);
+  if (std::ssize(bytes) > replaced) {
+    buf.insert(at + replaced, bytes.begin() + common, bytes.end());
+  } else {
+    buf.erase(at + common, at + replaced);
+  }
+}
+
+}  // namespace
 
 RegisterServer::RegisterServer(ProtocolConfig config, std::size_t server_index)
     : config_(config), labels_(config.k), index_(server_index) {
@@ -42,8 +85,7 @@ void RegisterServer::HandleGetTs(NodeId from, const GetTsMsg& msg,
   // Sanitize before exporting: a corrupted local label must not force
   // the writer to cope with structural garbage.
   TsReplyMsg reply;
-  reply.ts = Timestamp{labels_.Sanitize(current_.ts.label),
-                       current_.ts.writer_id};
+  reply.ts = SanitizedTs();
   reply.op_label = msg.op_label;
   endpoint.Send(from, EncodeMessage(Message(std::move(reply))));
 }
@@ -86,28 +128,35 @@ void RegisterServer::HandleWrite(NodeId from, const WriteMsg& msg,
       adopt = incoming.writer_id >= local.writer_id;
     }
   }
-  // The write's value is a view into the frame; copy it as it enters
-  // server state.
+  // The history exists only in wire form, so the write is spliced into
+  // the encoded reply, and everything it encodes is already sanitized:
+  // the new head under `incoming`, and a register's first write builds
+  // its (still empty) history under `local`.
+  if (reply_prefix_.empty()) BuildReplyPrefix(local);
+  const WireVersioned written{msg.value, incoming};
   if (adopt) {
-    old_vals_.push_front(std::move(current_));
-    current_ = VersionedValue{ToBytes(msg.value), incoming};
+    // The displaced value enters history under its raw timestamp. When
+    // that is valid, the old head already holds the entry's exact bytes.
+    const WireVersioned displaced = AsWire(current_);
+    const bool head_is_entry = local.label == current_.ts.label;
+    SpliceWrite(&written, head_is_entry ? nullptr : &displaced);
+    // The write's value is a view into the frame; copy it as it enters
+    // server state.
+    current_.value.assign(msg.value.begin(), msg.value.end());
+    current_.ts = incoming;
   } else {
     // Keep the rejected value witnessed in history: a read racing the
     // losing branch of a concurrent pair may still need to certify it
     // through the union graph.
-    old_vals_.push_front(VersionedValue{ToBytes(msg.value), incoming});
+    SpliceWrite(nullptr, &written);
   }
-  while (old_vals_.size() > config_.history_window) old_vals_.pop_back();
-  reply_prefix_valid_ = false;  // state changed on every branch above
 
   // Forward the new value to every reader currently registered
   // (Figure 1: "the server forwards the new written value to all the
   // concurrent readers stored in running_read_i"). Each reader's reply
-  // differs only in its trailing op label, so all of them splice the
-  // shared cached prefix.
+  // differs only in its trailing op label, so all of them copy the
+  // same prefix.
   if (!config_.forward_to_running_reads) return;
-  if (running_reads_.empty()) return;
-  RebuildReplyPrefix();
   for (const auto& [reader, label] : running_reads_) {
     endpoint.Send(reader, ReplyFrameFor(label));
   }
@@ -127,7 +176,7 @@ void RegisterServer::HandleRead(NodeId from, const ReadMsg& msg,
     }
   }
 
-  if (!reply_prefix_valid_) RebuildReplyPrefix();
+  if (reply_prefix_.empty()) BuildReplyPrefix(SanitizedTs());
   endpoint.Send(from, ReplyFrameFor(msg.label));
 }
 
@@ -139,21 +188,15 @@ Bytes RegisterServer::ReplyFrameFor(OpLabel label) {
   return w.Take();
 }
 
-void RegisterServer::RebuildReplyPrefix() {
-  // Sanitize before exporting, as HandleGetTs does: a corrupted local
-  // label must not hand readers structural garbage. Encoding through
-  // the regular codec with a placeholder label and truncating it keeps
-  // the cached bytes byte-identical to the unbatched encode (the op
-  // label is the final, fixed-width field of ReplyMsg).
+void RegisterServer::BuildReplyPrefix(
+    const Timestamp& sanitized_ts, const std::vector<WireVersioned>& history) {
+  // Encoding through the regular codec with a placeholder label and
+  // truncating it keeps the prefix byte-identical to a ReplyMsg encode
+  // (the op label is the final, fixed-width field of ReplyMsg).
   ReplyMsg reply;
   reply.value = current_.value;
-  reply.ts = Timestamp{labels_.Sanitize(current_.ts.label),
-                       current_.ts.writer_id};
-  reply.old_vals.reserve(old_vals_.size());
-  for (const VersionedValue& v : old_vals_) {
-    reply.old_vals.push_back(AsWire(v));
-  }
-  reply.label = 0;
+  reply.ts = sanitized_ts;
+  reply.old_vals = history;
   Bytes frame = EncodeMessage(Message(std::move(reply)));
   SBFT_ASSERT(frame.size() >= sizeof(OpLabel));
   // Copy out of the pooled encode buffer rather than keep it: the
@@ -164,7 +207,80 @@ void RegisterServer::RebuildReplyPrefix() {
       frame.end() - static_cast<std::ptrdiff_t>(sizeof(OpLabel));
   reply_prefix_.assign(frame.begin(), prefix_end);
   FramePool().Release(std::move(frame));
-  reply_prefix_valid_ = true;
+
+  entry_sizes_.clear();
+  BufReader r(BytesView(reply_prefix_).subspan(HistoryOffset(reply_prefix_)));
+  const auto count = r.Get<std::uint32_t>();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::size_t entry_at = r.pos();
+    SkipVersioned(r);
+    entry_sizes_.push_back(static_cast<std::uint32_t>(r.pos() - entry_at));
+  }
+  SBFT_ASSERT(r.AtEndOk());
+}
+
+void RegisterServer::SpliceWrite(const WireVersioned* head,
+                                 const WireVersioned* entry) {
+  SBFT_ASSERT(head != nullptr || entry != nullptr);
+  // Only the head is sanitized. History entries go out as stored;
+  // clients sanitize a history label when they materialize it.
+  const std::size_t count_at = HistoryOffset(reply_prefix_);
+  // Drop the entries the new one pushes out of the window first, so the
+  // splice below never needs room for more than a full window.
+  const std::size_t window = config_.history_window;
+  const std::size_t kept = std::min(entry_sizes_.size(), window - 1);
+  entry_sizes_.resize(kept);
+  std::size_t kept_end = count_at + sizeof(std::uint32_t);
+  for (const std::uint32_t size : entry_sizes_) kept_end += size;
+  reply_prefix_.resize(kept_end);
+
+  BufWriter w(FramePool().Acquire());
+  if (head != nullptr) head->EncodeInto(w);
+  w.Put<std::uint32_t>(static_cast<std::uint32_t>(kept + 1));
+  const std::size_t entry_at = w.data().size();
+  if (entry != nullptr) {
+    entry->EncodeInto(w);
+  } else {
+    w.PutRaw(BytesView(reply_prefix_).subspan(kHeadAt, count_at - kHeadAt));
+  }
+  const std::size_t entry_size = w.data().size() - entry_at;
+  const auto indexed = static_cast<std::uint32_t>(entry_size);
+  entry_sizes_.insert(entry_sizes_.begin(), indexed);
+
+  const std::size_t begin = head != nullptr ? kHeadAt : count_at;
+  const std::size_t end = count_at + sizeof(std::uint32_t);
+  const std::size_t replaced = end - begin;
+  const std::size_t needed = reply_prefix_.size() - replaced + w.data().size();
+  if (needed > reply_prefix_.capacity()) {
+    // Grow geometrically while the window fills, but never past a full
+    // window of entries this size: a full window then splices within
+    // capacity, wastes none, and a register written once (set-up writes
+    // every key) stays small.
+    const std::size_t full = needed + (window - kept - 1) * entry_size;
+    const std::size_t grown = std::max(needed, 2 * reply_prefix_.capacity());
+    reply_prefix_.reserve(std::min(grown, full));
+  }
+  Splice(reply_prefix_, begin, end, w.data());
+  FramePool().Release(w.Take());
+}
+
+std::vector<VersionedValue> RegisterServer::old_vals() const {
+  std::vector<VersionedValue> history;
+  if (reply_prefix_.empty()) return history;
+  BufReader r(BytesView(reply_prefix_).subspan(HistoryOffset(reply_prefix_)));
+  const auto entries = r.GetVector<WireVersioned>(WireVersioned::DecodeFrom);
+  for (const WireVersioned& v : entries) history.push_back(ToOwned(v));
+  SBFT_ASSERT(r.AtEndOk());
+  return history;
+}
+
+void RegisterServer::SetState(VersionedValue vv) {
+  current_ = std::move(vv);
+  if (reply_prefix_.empty()) return;  // built on first use
+  BufWriter w(FramePool().Acquire());
+  WireVersioned{current_.value, SanitizedTs()}.EncodeInto(w);
+  Splice(reply_prefix_, kHeadAt, HistoryOffset(reply_prefix_), w.data());
+  FramePool().Release(w.Take());
 }
 
 void RegisterServer::HandleCompleteRead(NodeId from,
@@ -189,21 +305,23 @@ void RegisterServer::CorruptState(Rng& rng) {
   current_.value = RandomBytes(rng, 1 + rng.NextBelow(8));
   current_.ts = Timestamp{RandomGarbageLabel(rng, labels_.params()),
                           static_cast<ClientId>(rng())};
-  old_vals_.clear();
-  const auto history = rng.NextBelow(config_.history_window + 1);
-  for (std::uint64_t i = 0; i < history; ++i) {
-    old_vals_.push_back(
-        VersionedValue{RandomBytes(rng, 1 + rng.NextBelow(8)),
-                       Timestamp{RandomGarbageLabel(rng, labels_.params()),
-                                 static_cast<ClientId>(rng())}});
+  const auto length = rng.NextBelow(config_.history_window + 1);
+  std::vector<VersionedValue> history(length);
+  for (VersionedValue& old : history) {
+    old.value = RandomBytes(rng, 1 + rng.NextBelow(8));
+    old.ts.label = RandomGarbageLabel(rng, labels_.params());
+    old.ts.writer_id = static_cast<ClientId>(rng());
   }
+  std::vector<WireVersioned> wire;
+  wire.reserve(history.size());
+  for (const VersionedValue& old : history) wire.push_back(AsWire(old));
+  BuildReplyPrefix(SanitizedTs(), wire);
   running_reads_.clear();
   const auto readers = rng.NextBelow(4);
   for (std::uint64_t i = 0; i < readers; ++i) {
     running_reads_.emplace_back(static_cast<NodeId>(rng.NextBelow(64)),
                                 static_cast<OpLabel>(rng.NextBelow(8)));
   }
-  reply_prefix_valid_ = false;
 }
 
 }  // namespace sbft

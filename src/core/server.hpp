@@ -3,7 +3,9 @@
 // Per the paper, a server keeps:
 //   * v_i, ts_i            — current register copy and its timestamp;
 //   * old_vals_i[]         — sliding window of the last W written values
-//                            (W = history_window, paper uses n);
+//                            (W = history_window, paper uses n), kept
+//                            only in wire form: as the entries of the
+//                            encoded READ reply (see reply_prefix_);
 //   * running_read_i       — (reader, label) pairs of reads in progress,
 //                            so concurrent writes are forwarded to them.
 //
@@ -16,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/small_vector.hpp"
 #include "core/config.hpp"
 #include "labels/labeling_system.hpp"
 #include "net/message.hpp"
@@ -32,9 +35,8 @@ class RegisterServer : public Automaton {
 
   // State inspection for tests and experiment harnesses.
   [[nodiscard]] const VersionedValue& current() const { return current_; }
-  [[nodiscard]] const std::deque<VersionedValue>& old_vals() const {
-    return old_vals_;
-  }
+  /// The old_vals window, newest first, decoded from its wire form.
+  [[nodiscard]] std::vector<VersionedValue> old_vals() const;
   [[nodiscard]] std::size_t running_read_count() const {
     return running_reads_.size();
   }
@@ -42,10 +44,8 @@ class RegisterServer : public Automaton {
 
   /// Direct state override (used by scripted experiment setups that need
   /// a specific "corrupted" configuration, e.g. the Theorem 1 replay).
-  void SetState(VersionedValue vv) {
-    current_ = std::move(vv);
-    reply_prefix_valid_ = false;
-  }
+  /// The history window is kept.
+  void SetState(VersionedValue vv);
 
  protected:
   // Handlers are virtual so Byzantine strategies can subclass and
@@ -64,13 +64,13 @@ class RegisterServer : public Automaton {
   [[nodiscard]] const ProtocolConfig& config() const { return config_; }
   [[nodiscard]] const LabelingSystem& labels() const { return labels_; }
 
-  /// (Re)encode reply_prefix_ from (current_, old_vals_). Every read
-  /// reply between state changes is byte-identical except for the
-  /// trailing reader op label, so the expensive part — the value plus
-  /// one timestamp per history entry — is encoded once per state
-  /// change instead of once per reader.
-  void RebuildReplyPrefix();
-  /// One reader's READ reply: the cached prefix plus their op label.
+  /// current_'s timestamp as the server exports it: a corrupted local
+  /// label must not hand clients structural garbage.
+  [[nodiscard]] Timestamp SanitizedTs() const {
+    return Timestamp{labels_.Sanitize(current_.ts.label),
+                     current_.ts.writer_id};
+  }
+  /// One reader's READ reply: the encoded prefix plus their op label.
   [[nodiscard]] Bytes ReplyFrameFor(OpLabel label);
 
   ProtocolConfig config_;
@@ -78,12 +78,34 @@ class RegisterServer : public Automaton {
   std::size_t index_;
 
   VersionedValue current_;
-  std::deque<VersionedValue> old_vals_;
   std::deque<std::pair<NodeId, OpLabel>> running_reads_;
-  /// Encoded READ reply minus the trailing OpLabel; see
-  /// RebuildReplyPrefix. Invalidated by every state mutation.
+
+ private:
+  /// Encode all of reply_prefix_ anew: current_'s value under
+  /// `sanitized_ts`, then `history`.
+  void BuildReplyPrefix(const Timestamp& sanitized_ts,
+                        const std::vector<WireVersioned>& history = {});
+  /// Splice one write into reply_prefix_: a new entry goes in front of
+  /// the kept history, the oldest entry falls out at history_window, and
+  /// a non-null `head` (whose timestamp is sanitized) replaces the head.
+  /// The new entry is `entry`, or, when that is null, the bytes of the
+  /// head being replaced.
+  void SpliceWrite(const WireVersioned* head, const WireVersioned* entry);
+
+  /// The encoded READ reply minus its trailing op label:
+  ///   [REPLY tag][value][sanitized ts][count][entry 0] … [entry W−1]
+  /// with the entries newest first. Every reply between state changes
+  /// is byte-identical except for that label, and the entries are the
+  /// server's only copy of old_vals, so a read only copies and a write
+  /// encodes one (value, timestamp) pair. Empty until first use: a
+  /// register is created without encoding anything, with an empty
+  /// history.
   Bytes reply_prefix_;
-  bool reply_prefix_valid_ = false;
+  /// The encoded size of each entry of reply_prefix_, newest first, so
+  /// a write finds where the window's oldest entry starts without
+  /// walking the entries. Inline for windows up to 16 (W = n ≤ 16
+  /// across the experiment suite).
+  SmallVector<std::uint32_t, 16> entry_sizes_;
 };
 
 }  // namespace sbft

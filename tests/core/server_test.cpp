@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -238,6 +240,257 @@ TEST(RegisterServerTest, CorruptStateThenSanitizedReplies) {
   ASSERT_NE(reply, nullptr);
   // Exported timestamps are sanitized even when local state is garbage.
   EXPECT_TRUE(system.IsValid(reply->ts.label));
+}
+
+// --- Wire-form history: reference model -------------------------------
+//
+// The server keeps its old_vals window only as the entries of its
+// encoded READ reply and splices each write into it. The model below
+// keeps the same state as decoded values in a deque, with the write,
+// trim and corruption semantics spelled out, and encodes its whole reply
+// for every comparison; every reply the server sends must equal the
+// model's encode byte for byte.
+
+// Records every frame a handler sends.
+class CaptureEndpoint final : public IEndpoint {
+ public:
+  void Send(NodeId dst, Bytes frame) override {
+    sent.emplace_back(dst, std::move(frame));
+  }
+  void SetTimer(VirtualTime, int) override {}
+  [[nodiscard]] VirtualTime Now() const override { return 0; }
+  [[nodiscard]] NodeId self() const override { return 0; }
+  Rng& rng() override { return rng_; }
+
+  std::vector<std::pair<NodeId, Bytes>> sent;
+
+ private:
+  Rng rng_{1};
+};
+
+struct ServerModel {
+  explicit ServerModel(const ProtocolConfig& c) : config(c), labels(c.k) {
+    current.ts = Timestamp{labels.Initial(), 0};
+  }
+
+  [[nodiscard]] Timestamp Sanitized(const Timestamp& ts) const {
+    return Timestamp{labels.Sanitize(ts.label), ts.writer_id};
+  }
+
+  // Adopt unless strictly older: label precedence first, writer ids for
+  // equal or incomparable labels, ties adopt. Adoption pushes the
+  // displaced value with its raw timestamp; rejection pushes the
+  // incoming value with its sanitized one.
+  bool Write(BytesView value, const Timestamp& ts) {
+    const Timestamp incoming = Sanitized(ts);
+    const Timestamp local = Sanitized(current.ts);
+    bool adopt = false;
+    if (labels.Precedes(incoming.label, local.label)) {
+      adopt = false;
+    } else if (labels.Precedes(local.label, incoming.label)) {
+      adopt = true;
+    } else {
+      adopt = incoming.writer_id >= local.writer_id;
+    }
+    if (adopt) {
+      old_vals.push_front(current);
+      current = VersionedValue{ToBytes(value), incoming};
+    } else {
+      old_vals.push_front(VersionedValue{ToBytes(value), incoming});
+    }
+    while (old_vals.size() > config.history_window) old_vals.pop_back();
+    return adopt;
+  }
+
+  // The documented draw order: value, timestamp, history length and
+  // entries (value, label, writer each), then the reader table, which
+  // the model does not keep; returns its length.
+  std::uint64_t Corrupt(Rng& rng) {
+    current.value = RandomBytes(rng, 1 + rng.NextBelow(8));
+    current.ts.label = RandomGarbageLabel(rng, labels.params());
+    current.ts.writer_id = static_cast<ClientId>(rng());
+    old_vals.clear();
+    const auto history = rng.NextBelow(config.history_window + 1);
+    for (std::uint64_t i = 0; i < history; ++i) {
+      VersionedValue old;
+      old.value = RandomBytes(rng, 1 + rng.NextBelow(8));
+      old.ts.label = RandomGarbageLabel(rng, labels.params());
+      old.ts.writer_id = static_cast<ClientId>(rng());
+      old_vals.push_back(std::move(old));
+    }
+    const auto readers = rng.NextBelow(4);
+    for (std::uint64_t i = 0; i < readers; ++i) {
+      (void)rng.NextBelow(64);  // reader
+      (void)rng.NextBelow(8);   // op label
+    }
+    return readers;
+  }
+
+  // Only the head timestamp is sanitized; history labels go out raw.
+  [[nodiscard]] Bytes Reply(OpLabel label) const {
+    ReplyMsg reply;
+    reply.value = current.value;
+    reply.ts = Sanitized(current.ts);
+    for (const VersionedValue& old : old_vals) {
+      reply.old_vals.push_back(AsWire(old));
+    }
+    reply.label = label;
+    return EncodeMessage(Message(std::move(reply)));
+  }
+
+  ProtocolConfig config;
+  LabelingSystem labels;
+  VersionedValue current;
+  std::deque<VersionedValue> old_vals;
+};
+
+void ExpectMatchesModel(RegisterServer& server, const ServerModel& model,
+                        Rng& rng, std::size_t step) {
+  SCOPED_TRACE(testing::Message() << "step " << step);
+  EXPECT_EQ(server.current(), model.current);
+  std::vector<VersionedValue> expected;
+  expected.assign(model.old_vals.begin(), model.old_vals.end());
+  EXPECT_EQ(server.old_vals(), expected);
+
+  // A READ from one of a few probe readers; it registers the reader, so
+  // later writes forward to it.
+  CaptureEndpoint endpoint;
+  const auto reader = static_cast<NodeId>(1 + rng.NextBelow(3));
+  const auto label = static_cast<OpLabel>(rng.NextBelow(8));
+  server.OnFrame(reader, EncodeMessage(Message(ReadMsg{label})), endpoint);
+  ASSERT_EQ(endpoint.sent.size(), 1u);
+  EXPECT_EQ(endpoint.sent[0].first, reader);
+  EXPECT_EQ(endpoint.sent[0].second, model.Reply(label));
+}
+
+void RunModelScript(std::uint32_t n, std::uint64_t seed) {
+  const auto config = ProtocolConfig::ForServers(n);
+  RegisterServer server(config, 0);
+  ServerModel model(config);
+  Rng rng(seed);
+  std::vector<Label> superseded;  // heads since overwritten: older labels
+  std::size_t adopted = 0;
+  std::size_t rejected = 0;
+  std::size_t forwarded = 0;
+  std::size_t garbage_in_history = 0;
+
+  ExpectMatchesModel(server, model, rng, 0);  // the initial state
+  for (std::size_t step = 1; step <= 600; ++step) {
+    const auto kind = rng.NextBelow(10);
+    if (kind <= 5) {
+      // A write: newer, older, incomparable, an equal-label writer-id
+      // tie, or a garbage label the server has to sanitize.
+      const Timestamp head = model.Sanitized(model.current.ts);
+      Timestamp ts = head;
+      ts.writer_id = static_cast<ClientId>(rng.NextBelow(8));
+      if (kind <= 1) {
+        ts.label = model.labels.Next(std::vector<Label>{head.label});
+      } else if (kind == 2 && !superseded.empty()) {
+        ts.label = superseded[rng.NextBelow(superseded.size())];
+      } else if (kind == 3) {
+        ts.label = RandomValidLabel(rng, model.labels.params());
+      } else if (kind == 4) {
+        // The head's label, under a writer id one lower, equal or higher.
+        const auto delta = static_cast<ClientId>(rng.NextBelow(3));
+        ts.writer_id = head.writer_id + delta - 1;
+      } else if (kind == 5) {
+        ts.label = RandomGarbageLabel(rng, model.labels.params());
+      }
+      const Bytes value = RandomBytes(rng, 1 + rng.NextBelow(12));
+      const Bytes frame = EncodeMessage(Message(WriteMsg{value, ts, 9}));
+      CaptureEndpoint endpoint;
+      server.OnFrame(0, frame, endpoint);
+      if (model.Write(value, ts)) {
+        ++adopted;
+        superseded.push_back(head.label);
+      } else {
+        ++rejected;
+      }
+      // One WRITE_REPLY, then the new reply forwarded to every running
+      // reader, each under that reader's op label.
+      ASSERT_EQ(endpoint.sent.size(), 1 + server.running_read_count());
+      for (std::size_t i = 1; i < endpoint.sent.size(); ++i) {
+        auto decoded = DecodeMessage(endpoint.sent[i].second);
+        ASSERT_TRUE(decoded.ok());
+        const auto* reply = std::get_if<ReplyMsg>(&decoded.value());
+        ASSERT_NE(reply, nullptr);
+        EXPECT_EQ(endpoint.sent[i].second, model.Reply(reply->label));
+        ++forwarded;
+      }
+    } else if (kind == 6) {
+      VersionedValue vv;
+      vv.value = RandomBytes(rng, 1 + rng.NextBelow(12));
+      if (rng.NextBool(0.5)) {
+        vv.ts.label = RandomValidLabel(rng, model.labels.params());
+      } else {
+        vv.ts.label = RandomGarbageLabel(rng, model.labels.params());
+      }
+      vv.ts.writer_id = static_cast<ClientId>(rng.NextBelow(8));
+      model.current = vv;
+      server.SetState(std::move(vv));
+    } else if (kind == 7 && rng.NextBelow(4) == 0) {
+      const std::uint64_t corruption = rng();
+      Rng server_rng(corruption);
+      Rng model_rng(corruption);
+      server.CorruptState(server_rng);
+      EXPECT_EQ(server.running_read_count(), model.Corrupt(model_rng));
+      EXPECT_EQ(server_rng(), model_rng());  // same number of draws
+    } else if (kind == 8) {
+      CaptureEndpoint endpoint;
+      const auto reader = static_cast<NodeId>(1 + rng.NextBelow(3));
+      const auto label = static_cast<OpLabel>(rng.NextBelow(8));
+      const Bytes done = EncodeMessage(Message(CompleteReadMsg{label}));
+      server.OnFrame(reader, done, endpoint);
+    }
+    // kind 9 (and most of 7): a read on its own, below.
+    for (const VersionedValue& old : model.old_vals) {
+      if (old.ts.label.antistings.size() != config.k) ++garbage_in_history;
+    }
+    ExpectMatchesModel(server, model, rng, step);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  // The script reached every branch it is meant to pin.
+  EXPECT_GT(adopted, 50u);
+  EXPECT_GT(rejected, 20u);
+  EXPECT_GT(forwarded, 100u);
+  EXPECT_GT(garbage_in_history, 0u);
+  EXPECT_EQ(model.old_vals.size(), config.history_window);
+}
+
+TEST(RegisterServerWireHistory, MatchesDequeModelN6) {
+  RunModelScript(6, 61);
+}
+
+TEST(RegisterServerWireHistory, MatchesDequeModelN16) {
+  RunModelScript(16, 161);
+}
+
+TEST(RegisterServerWireHistory, SameSeedCorruptionAgreesByteForByte) {
+  const auto config = ProtocolConfig::ForServers(16);
+  LabelingSystem system(config.k);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    RegisterServer a(config, 0);
+    RegisterServer b(config, 1);
+    // Different histories before the fault: b saw one write, a none.
+    CaptureEndpoint ignored;
+    const Bytes value{1, 2, 3};
+    const Timestamp ts{system.Next(std::vector<Label>{system.Initial()}), 4};
+    b.OnFrame(0, EncodeMessage(Message(WriteMsg{value, ts, 1})), ignored);
+
+    Rng rng_a(seed);
+    Rng rng_b(seed);
+    a.CorruptState(rng_a);
+    b.CorruptState(rng_b);
+    CaptureEndpoint out_a;
+    CaptureEndpoint out_b;
+    const Bytes frame = EncodeMessage(Message(ReadMsg{5}));
+    a.OnFrame(7, frame, out_a);
+    b.OnFrame(7, frame, out_b);
+    ASSERT_EQ(out_a.sent.size(), 1u);
+    ASSERT_EQ(out_b.sent.size(), 1u);
+    EXPECT_EQ(out_a.sent[0].second, out_b.sent[0].second) << "seed " << seed;
+    EXPECT_EQ(a.old_vals(), b.old_vals());
+  }
 }
 
 }  // namespace
