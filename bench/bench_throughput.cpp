@@ -8,12 +8,13 @@
 // throughput across G independent register groups behind the
 // consistent-hash router.
 //
-// Every arm drives the multiplexed topology (one MuxClient node hosts
-// all logical clients as independent registers) with an asynchronous
-// closed loop: each logical client keeps exactly one operation in
-// flight and issues the next from the completion callback. Per-op
-// latency is charged from the op's INTENDED start — the previous op's
-// completion stamp, taken inside the completion callback — so the
+// Every arm drives the serving path — ShardedCluster (G >= 1 groups),
+// each group's MuxClient node hosting all its logical clients as
+// independent registers, batching and sharing FLUSH rounds — with an
+// asynchronous closed loop: each logical client keeps exactly one
+// operation in flight and issues the next from the completion callback.
+// Per-op latency is charged from the op's INTENDED start — the previous
+// op's completion stamp, taken inside the completion callback — so the
 // callback-to-injection gap is part of the next op's latency rather
 // than silently omitted (the coordinated-omission trap: stamping at
 // send time lets a stalled client under-report exactly when the
@@ -22,10 +23,10 @@
 // shared log-linear histogram (load/histogram.hpp, ~3% worst-case
 // quantization), whose math tests/load/histogram_test.cpp pins down.
 //
-// Sharded arms additionally record the full operation history and run
-// the per-key regular-register checker over it (g2.migrate.* does so
+// Every arm also records the full operation history and runs the
+// per-key regular-register checker over it (g2.migrate.* does so
 // THROUGH a live AddGroup epoch bump), reporting the violation count
-// as a gated metric: scale-out must not cost regularity.
+// as a gated metric: neither load nor scale-out may cost regularity.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -59,34 +60,27 @@ struct Numbers {
   /// Thread-CPU microseconds inside automaton dispatch per completed
   /// op, summed over all node threads (ThreadCluster::protocol_cpu_ns):
   /// the protocol-floor observable, with mailbox waits and socket
-  /// syscalls excluded. Comparable across transports and batch modes.
+  /// syscalls excluded. Comparable across transports.
   double protocol_cpu_us_per_op = 0;
-  /// Per-key regular-register violations over the recorded history;
-  /// -1 = this arm did not record a history (non-sharded arms).
-  long regular_violations = -1;
+  /// Per-key regular-register violations over the recorded history.
+  long regular_violations = 0;
 };
 
-/// Closed-loop load generator over the async register API (works for
-/// both RegisterCluster and ShardedCluster — same AsyncWrite/AsyncRead
-/// shape). Each logical client runs `pairs` write+read pairs.
-/// Completion callbacks arrive on the mux client node thread — ONE
-/// thread for a single cluster, G threads for a sharded deployment —
-/// so the histogram and the optional history are mutex-guarded (an
-/// uncontended lock per completed op, noise against the ~tens-of-µs
-/// protocol round).
-template <typename Cluster>
+/// Closed-loop load generator over the async register API. Each
+/// logical client runs `pairs` write+read pairs. Completion callbacks
+/// arrive on the mux client node threads — one per group — so the
+/// histogram and the history are mutex-guarded (an uncontended lock per
+/// completed op at G = 1, noise against the ~tens-of-µs protocol round).
 class ClosedLoop {
  public:
   /// `progress`, when set, is called with the running completed-op
   /// count after each completion (outside the internal lock) — the
   /// hook the migration arm uses to trigger AddGroup mid-run.
-  ClosedLoop(Cluster& cluster, std::size_t n_clients, int pairs,
-             bool record_history = false,
+  ClosedLoop(ShardedCluster& cluster, std::size_t n_clients, int pairs,
              std::function<void(long)> progress = nullptr)
       : cluster_(cluster),
         n_clients_(n_clients),
         pairs_(pairs),
-        record_history_(record_history),
         progress_(std::move(progress)) {}
 
   Numbers Run() {
@@ -110,8 +104,8 @@ class ClosedLoop {
     return numbers;
   }
 
-  /// The recorded history (empty unless record_history). Stable once
-  /// Run() returned — every client has finished.
+  /// The recorded history. Stable once Run() returned — every client
+  /// has finished.
   [[nodiscard]] const History& history() const { return history_; }
 
  private:
@@ -156,19 +150,17 @@ class ClosedLoop {
       std::lock_guard<std::mutex> lock(mutex_);
       histogram_.Record(us > 0 ? static_cast<std::uint64_t>(us) : 0);
       completed = static_cast<long>(histogram_.count());
-      if (record_history_) {
-        OpRecord rec;
-        rec.kind = is_write ? OpRecord::Kind::kWrite : OpRecord::Kind::kRead;
-        rec.result = status == OpStatus::kOk ? OpRecord::Result::kOk
-                     : status == OpStatus::kAborted
-                         ? OpRecord::Result::kAborted
-                         : OpRecord::Result::kFailed;
-        rec.client = static_cast<std::uint32_t>(c);
-        rec.invoked_at = StampUs(intended);
-        rec.returned_at = StampUs(now);
-        if (is_write || status == OpStatus::kOk) rec.value = std::move(value);
-        history_.Add(std::move(rec));
-      }
+      OpRecord rec;
+      rec.kind = is_write ? OpRecord::Kind::kWrite : OpRecord::Kind::kRead;
+      rec.result = status == OpStatus::kOk ? OpRecord::Result::kOk
+                   : status == OpStatus::kAborted
+                       ? OpRecord::Result::kAborted
+                       : OpRecord::Result::kFailed;
+      rec.client = static_cast<std::uint32_t>(c);
+      rec.invoked_at = StampUs(intended);
+      rec.returned_at = StampUs(now);
+      if (is_write || status == OpStatus::kOk) rec.value = std::move(value);
+      history_.Add(std::move(rec));
     }
     if (status != OpStatus::kOk) failed_.fetch_add(1);
     if (progress_) progress_(completed);
@@ -181,10 +173,9 @@ class ClosedLoop {
     return us > 0 ? static_cast<std::uint64_t>(us) : 0;
   }
 
-  Cluster& cluster_;
+  ShardedCluster& cluster_;
   std::size_t n_clients_;
   int pairs_;
-  bool record_history_;
   std::function<void(long)> progress_;
   Clock::time_point t_begin_;
   load::LatencyHistogram histogram_;
@@ -195,38 +186,12 @@ class ClosedLoop {
   std::size_t done_clients_ = 0;
 };
 
-Numbers RunArm(std::uint32_t n, std::size_t n_clients, bool use_tcp,
-               int pairs_per_client, std::size_t batch_max_ops,
-               bool shared_flush) {
-  RegisterCluster::Options options;
-  options.config = ProtocolConfig::ForServers(n);
-  options.use_tcp = use_tcp;
-  options.multiplex = true;
-  options.n_clients = n_clients;
-  options.batch_max_ops = batch_max_ops;  // 0 = unbatched
-  options.batch_max_delay_us = 200;
-  options.shared_flush = shared_flush;
-  RegisterCluster cluster(std::move(options));
-  cluster.Start();
-  ClosedLoop<RegisterCluster> loop(cluster, n_clients, pairs_per_client);
-  Numbers numbers = loop.Run();
-  const std::uint64_t cpu_ns = cluster.cluster().protocol_cpu_ns();
-  cluster.Stop();
-  if (numbers.completed > 0) {
-    numbers.protocol_cpu_us_per_op =
-        static_cast<double>(cpu_ns) / 1000.0 /
-        static_cast<double>(numbers.completed);
-  }
-  return numbers;
-}
-
-/// Sharded arm: `groups` independent register groups (each its own
-/// n-server quorum system with batching + shared FLUSH) behind the
-/// consistent-hash router, closed loop over `n_clients` keys spread
-/// across them. With `migrate`, starts at ONE group and fires
-/// AddGroup from a side thread once half the op budget completed —
-/// the live scale-out measurement. Always records the history and
-/// runs the per-key checker.
+/// One arm: `groups` independent register groups (each its own
+/// n-server quorum system) behind the consistent-hash router, closed
+/// loop over `n_clients` keys spread across them. With `migrate`,
+/// starts at ONE group and fires AddGroup from a side thread once half
+/// the op budget completed — the live scale-out measurement. Records
+/// the history and runs the per-key checker.
 Numbers RunShardedArm(std::uint32_t n, std::size_t groups,
                       std::size_t n_clients, bool use_tcp,
                       int pairs_per_client, bool migrate) {
@@ -235,9 +200,6 @@ Numbers RunShardedArm(std::uint32_t n, std::size_t groups,
   options.group.use_tcp = use_tcp;
   options.group.multiplex = true;
   options.group.n_clients = n_clients;
-  options.group.batch_max_ops = std::min<std::size_t>(n_clients, 64);
-  options.group.batch_max_delay_us = 200;
-  options.group.shared_flush = true;
   options.n_groups = migrate ? 1 : groups;
   ShardedCluster cluster(options);
   cluster.Start();
@@ -270,9 +232,7 @@ Numbers RunShardedArm(std::uint32_t n, std::size_t groups,
     });
   }
 
-  ClosedLoop<ShardedCluster> loop(cluster, n_clients, pairs_per_client,
-                                  /*record_history=*/true,
-                                  std::move(progress));
+  ClosedLoop loop(cluster, n_clients, pairs_per_client, std::move(progress));
   Numbers numbers = loop.Run();
   if (adder.joinable()) {
     {
@@ -289,7 +249,7 @@ Numbers RunShardedArm(std::uint32_t n, std::size_t groups,
         static_cast<double>(cpu_ns) / 1000.0 /
         static_cast<double>(numbers.completed);
   }
-  // Scale-out must not cost regularity: each key's closed loop starts
+  // Load and scale-out must not cost regularity: each key's closed loop starts
   // with a write, so no grandfathered initial value is needed, and the
   // migration arm's reads must stay regular straight through the epoch
   // bump (the drain-and-handoff anchor rule under test).
@@ -314,25 +274,18 @@ struct Point {
   bool use_tcp;
   std::uint32_t n;
   std::size_t clients;
-  std::size_t batch = 0;  // batch_max_ops; 0 = unbatched
-  bool shared_flush = false;
-  std::size_t groups = 1;  // >1 = sharded arm
-  bool migrate = false;    // g2.migrate: 1 -> 2 groups mid-run
+  std::size_t groups = 1;
+  bool migrate = false;  // g2.migrate: 1 -> 2 groups mid-run
 };
 
-/// Metric-key prefix of an arm, e.g. "sharedflush.tcp.n16.c64" or
-/// "g4.tcp.n16.c256". The g<G> family prefix is what bench_compare
-/// groups sharded arms by.
+/// Metric-key prefix of an arm, e.g. "tcp.n16.c64" or "g4.tcp.n16.c256".
+/// The g<G> family prefix is what bench_compare groups sharded arms by.
 std::string KeyFor(const Point& point) {
   std::string key;
   if (point.migrate) {
     key += "g2.migrate.";
   } else if (point.groups > 1) {
     key += "g" + std::to_string(point.groups) + ".";
-  } else if (point.shared_flush) {
-    key += "sharedflush.";
-  } else if (point.batch > 0) {
-    key += "batched.";
   }
   key += point.use_tcp ? "tcp" : "mailbox";
   key += ".n" + std::to_string(point.n);
@@ -353,76 +306,47 @@ int main(int argc, char** argv) {
   auto add = [&](const Point& point) {
     if (seen.insert(KeyFor(point)).second) points.push_back(point);
   };
-  auto add_single = [&](bool use_tcp, std::uint32_t n, std::size_t clients,
-                        std::size_t batch = 0, bool shared_flush = false) {
-    add({use_tcp, n, clients, batch, shared_flush});
-  };
   // Legacy trajectory points: n sweep at low client counts.
   for (std::uint32_t n : {6u, 11u, 16u}) {
-    add_single(false, n, 1);
-    add_single(false, n, 2);
+    add({false, n, 1});
+    add({false, n, 2});
   }
   // TCP arm kept small at c=1: sockets * n^2 on one box. n=16 is the
   // worst case the trajectory tracks (256 sockets, the paper's largest
   // sweep point); its failed count guards against accept-backlog drops.
   for (std::uint32_t n : {6u, 11u, 16u}) {
-    add_single(true, n, 1);
+    add({true, n, 1});
   }
 
-  // High-concurrency sweep at n=16: pipelined logical clients over the
-  // mux envelope, both transports.
+  // High-concurrency sweep at n=16: pipelined logical clients sharing
+  // MuxBatch rounds and one node-level FLUSH per window, both transports.
   const std::vector<std::size_t> sweep =
       report.clients().empty() ? std::vector<std::size_t>{1, 8, 64, 256}
                                : report.clients();
   for (std::size_t clients : sweep) {
-    add_single(false, 16, clients);
-    add_single(true, 16, clients);
-  }
-  // Protocol-round batching arms (metric prefix "batched."): the same
-  // n=16 concurrency sweep with frames of concurrent per-register
-  // rounds coalesced into shared MuxBatch frames. The window matches
-  // the client count up to 64 — every closed-loop generation shares
-  // one round; past 64 a capped window keeps several smaller rounds
-  // pipelined instead of one giant serialized round (measured faster
-  // at c256). Skipped below c=8: a batch window over a lone
-  // closed-loop client only adds the max_delay timer wait.
-  for (std::size_t clients : sweep) {
-    if (clients < 8) continue;
-    add_single(false, 16, clients, std::min<std::size_t>(clients, 64));
-    add_single(true, 16, clients, std::min<std::size_t>(clients, 64));
-  }
-  // Shared-FLUSH arms (metric prefix "sharedflush."): batching plus one
-  // node-level FLUSH round per window (core/mux_flush.hpp) — the
-  // per-op protocol floor drops from ~2 rounds to ~1 + 1/W.
-  for (std::size_t clients : sweep) {
-    if (clients < 8) continue;
-    add_single(false, 16, clients, std::min<std::size_t>(clients, 64), true);
-    add_single(true, 16, clients, std::min<std::size_t>(clients, 64), true);
+    add({false, 16, clients});
+    add({true, 16, clients});
   }
   // Sharded scale-out arms (metric prefix "g<G>."): EQUAL total
   // clients spread over G independent groups — the E15 G-scaling
-  // curve against the sharedflush.tcp.n16.c256 single-group baseline.
+  // curve against the tcp.n16.c256 single-group arm.
   // On a single-core box these measure router + composition overhead
   // (every group's node threads timeshare one core); linear aggregate
   // scaling needs one core per group's worth of protocol work.
-  add({true, 16, 256, 0, true, /*groups=*/2});
-  add({true, 16, 256, 0, true, /*groups=*/4});
-  add({false, 16, 256, 0, true, /*groups=*/4});
+  add({true, 16, 256, /*groups=*/2});
+  add({true, 16, 256, /*groups=*/4});
+  add({false, 16, 256, /*groups=*/4});
   // Live growth arm ("g2.migrate."): starts at one group, adds the
   // second at half the op budget; the per-key checker must pass
   // straight through the epoch bump.
-  add({true, 16, 64, 0, true, /*groups=*/2, /*migrate=*/true});
+  add({true, 16, 64, /*groups=*/2, /*migrate=*/true});
 
   for (const Point& point : points) {
     const std::string key = KeyFor(point);
     if (!report.WantArm(key)) continue;
     const int pairs = PairsFor(point.use_tcp, point.clients, report.smoke());
-    const Numbers numbers =
-        point.groups > 1 || point.migrate
-            ? RunShardedArm(point.n, point.groups, point.clients,
-                            point.use_tcp, pairs, point.migrate)
-            : RunArm(point.n, point.clients, point.use_tcp, pairs,
-                     point.batch, point.shared_flush);
+    const Numbers numbers = RunShardedArm(point.n, point.groups, point.clients,
+                                          point.use_tcp, pairs, point.migrate);
     const std::string label =
         key.substr(0, key.rfind(".n" + std::to_string(point.n)));
     Row("%-4u %-8zu %-22s | %-12.0f %-10.0f %-10.0f %-7ld", point.n,
@@ -444,11 +368,9 @@ int main(int argc, char** argv) {
             : static_cast<double>(numbers.completed - numbers.failed) /
                   static_cast<double>(numbers.completed);
     report.Metric(key + ".completed_frac", frac, "frac");
-    if (numbers.regular_violations >= 0) {
-      report.Metric(key + ".regular_violations",
-                    static_cast<double>(numbers.regular_violations),
-                    "violations");
-    }
+    report.Metric(key + ".regular_violations",
+                  static_cast<double>(numbers.regular_violations),
+                  "violations");
     if (report.cooldown_ms() > 0) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(report.cooldown_ms()));
@@ -465,8 +387,8 @@ int main(int argc, char** argv) {
   Row("%s", "\nexpected shape: latency grows roughly linearly with n "
             "(Theta(n) frames/op on one core); pipelined clients raise "
             "throughput until a core saturates, then p99 grows with c "
-            "while ops/s plateaus; no failed ops at any sweep point; "
-            "g<G> aggregate ops/s scales with spare cores (flat on a "
-            "single-core box) with zero regular_violations.");
+            "while ops/s plateaus; no failed ops and zero "
+            "regular_violations at any sweep point; g<G> aggregate ops/s "
+            "scales with spare cores (flat on a single-core box).");
   return report.Flush() ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "core/mux.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/buffer_pool.hpp"
 #include "common/hash.hpp"
@@ -9,42 +8,10 @@
 namespace sbft {
 namespace {
 
-// Endpoint adaptor: outgoing inner frames get wrapped with the register
-// id. Used per-call on the server side (RegisterServer never stores the
-// endpoint) and persistently on the client side via OuterRef.
-class WrapEndpoint final : public IEndpoint {
- public:
-  WrapEndpoint(IEndpoint& outer, RegisterId id) : outer_(&outer), id_(id) {}
-
-  void Send(NodeId dst, Bytes frame) override {
-    // Envelope the already-encoded inner frame in place — no MuxMsg
-    // variant construction, no second encode of the inner message.
-    outer_->Send(dst, EncodeMuxEnvelope(id_, frame));
-    FramePool().Release(std::move(frame));
-  }
-
-  void Broadcast(std::span<const NodeId> dsts, Bytes frame) override {
-    // Envelope once; the outer endpoint fans the single wrapped frame
-    // out (shared payload in the sim/threaded backends).
-    outer_->Broadcast(dsts, EncodeMuxEnvelope(id_, frame));
-    FramePool().Release(std::move(frame));
-  }
-  void SetTimer(VirtualTime delay, int timer_id) override {
-    outer_->SetTimer(delay, timer_id);
-  }
-  [[nodiscard]] VirtualTime Now() const override { return outer_->Now(); }
-  [[nodiscard]] NodeId self() const override { return outer_->self(); }
-  Rng& rng() override { return outer_->rng(); }
-
- private:
-  IEndpoint* outer_;
-  RegisterId id_;
-};
-
-// Endpoint adaptor for batch dispatch: outgoing inner frames accumulate
-// in the collector keyed by (destination, register) instead of leaving
-// immediately, so one physical frame per link carries the replies of
-// every sub-op in the incoming batch.
+// Server-side endpoint adaptor for batch dispatch: outgoing inner
+// frames accumulate in the collector keyed by (destination, register)
+// instead of leaving immediately, so one physical frame per link carries
+// the replies of every sub-op in the incoming batch.
 class CollectEndpoint final : public IEndpoint {
  public:
   CollectEndpoint(IEndpoint& outer, MuxBatchCollector& collector,
@@ -181,11 +148,6 @@ void MuxServer::OnFrame(NodeId from, BytesView frame, IEndpoint& endpoint) {
     endpoint.Send(from, EncodeMessage(Message(ack)));
     return;
   }
-  if (const auto* mux = std::get_if<MuxMsg>(&message)) {
-    WrapEndpoint wrapped(endpoint, mux->register_id);
-    GetOrCreate(mux->register_id).OnFrame(from, mux->inner, wrapped);
-    return;
-  }
   const auto* batch = std::get_if<MuxBatchMsg>(&message);
   if (batch == nullptr) return;  // bare frames are not for a mux server
   // Apply the whole vector of register sub-ops; replies collected while
@@ -225,10 +187,8 @@ void MuxServer::CorruptState(Rng& rng) {
 // --- MuxClient -----------------------------------------------------------
 
 // Persistent per-register endpoint: routes outgoing frames back through
-// the owning MuxClient, which either envelopes them immediately or, when
-// a batch scope is open, coalesces them into the round's batch frames.
-// Inner clients cache this at OnStart, so the indirection is what lets
-// the same RegisterClient flip between paths per round.
+// the owning MuxClient, which coalesces them into the round's batch
+// frames. Inner clients cache this at OnStart.
 class MuxClient::RouteEndpoint final : public IEndpoint {
  public:
   RouteEndpoint(MuxClient& owner, RegisterId id) : owner_(&owner), id_(id) {}
@@ -299,6 +259,7 @@ MuxClient::MuxClient(ProtocolConfig config, std::vector<NodeId> servers,
       max_registers_(max_registers),
       batch_(batch) {
   SBFT_ASSERT(max_registers_ >= 1);
+  SBFT_ASSERT(batch_.max_ops >= 1);
   // One rehash up front instead of several during warm-up (the table
   // reaches max_registers_ in steady state under high concurrency).
   clients_.reserve(max_registers_);
@@ -333,10 +294,8 @@ RegisterClient& MuxClient::GetOrCreate(RegisterId id) {
     // RegisterClient caches the endpoint passed to OnStart; the router
     // lives in the same Entry, so lifetimes match exactly.
     entry.client->OnStart(*entry.endpoint);
-    if (batch_.shared_flush) {
-      entry.flush_provider = std::make_unique<RouteFlushProvider>(*this, id);
-      entry.client->SetFlushProvider(entry.flush_provider.get());
-    }
+    entry.flush_provider = std::make_unique<RouteFlushProvider>(*this, id);
+    entry.client->SetFlushProvider(entry.flush_provider.get());
     it = clients_.emplace(id, std::move(entry)).first;
   }
   TouchLru(lru_, lru_pos_, id);
@@ -350,12 +309,6 @@ void MuxClient::OnFrame(NodeId from, BytesView frame, IEndpoint&) {
     OnNodeFlushAck(from, *ack);
     return;
   }
-  if (const auto* mux = std::get_if<MuxMsg>(&decoded.value())) {
-    std::optional<BatchScope> scope;
-    if (batching()) scope.emplace(*this);
-    DispatchInner(from, mux->register_id, mux->inner);
-    return;
-  }
   const auto* batch = std::get_if<MuxBatchMsg>(&decoded.value());
   if (batch == nullptr) return;
   // One incoming frame carries one protocol phase of many ops. The
@@ -363,8 +316,7 @@ void MuxClient::OnFrame(NodeId from, BytesView frame, IEndpoint&) {
   // automata send in response coalesces into the next round's batch
   // frames — and ops submitted by completion callbacks fired here join
   // that same round instead of waiting out the batch window.
-  std::optional<BatchScope> scope;
-  if (batching()) scope.emplace(*this);
+  BatchScope scope(*this);
   for (const MuxItem& item : batch->items) {
     DispatchInner(from, item.register_id, item.inner);
   }
@@ -382,36 +334,26 @@ void MuxClient::OnTimer(int timer_id, IEndpoint&) {
   if (!pending_.empty()) FlushRound();
 }
 
-void MuxClient::OnBatchStart(IEndpoint&) {
-  if (batching()) ++scope_depth_;
-}
+void MuxClient::OnBatchStart(IEndpoint&) { ++scope_depth_; }
 
 void MuxClient::OnBatchEnd(IEndpoint&) {
-  if (!batching()) return;
   SBFT_ASSERT(scope_depth_ > 0);
   if (--scope_depth_ == 0) FlushRound();
 }
 
+// Inner clients send only while a scope is open: ops start inside
+// FlushRound's scope, and replies and flush acks are dispatched inside
+// OnFrame's.
 void MuxClient::RouteSend(RegisterId id, NodeId dst, Bytes frame) {
-  if (scope_depth_ > 0) {
-    collector_.Add(dst, id, frame);
-  } else {
-    // Envelope the already-encoded inner frame in place — no MuxMsg
-    // variant construction, no second encode of the inner message.
-    endpoint_->Send(dst, EncodeMuxEnvelope(id, frame));
-  }
+  SBFT_ASSERT(scope_depth_ > 0);
+  collector_.Add(dst, id, frame);
   FramePool().Release(std::move(frame));
 }
 
 void MuxClient::RouteBroadcast(RegisterId id, std::span<const NodeId> dsts,
                                Bytes frame) {
-  if (scope_depth_ > 0) {
-    collector_.AddBroadcast(dsts, id, frame);
-  } else {
-    // Envelope once; the outer endpoint fans the single wrapped frame
-    // out (shared payload in the sim/threaded backends).
-    endpoint_->Broadcast(dsts, EncodeMuxEnvelope(id, frame));
-  }
+  SBFT_ASSERT(scope_depth_ > 0);
+  collector_.AddBroadcast(dsts, id, frame);
   FramePool().Release(std::move(frame));
 }
 
@@ -425,8 +367,7 @@ void MuxClient::OnNodeFlushAck(NodeId from, const NodeFlushAckMsg& ack) {
   // label, exactly as it would for a forged per-register FLUSH_ACK.
   // The scope makes the READs that late acks trigger (Figure 3 lines
   // 13-15) coalesce into this round's batch frames.
-  std::optional<BatchScope> scope;
-  if (batching()) scope.emplace(*this);
+  BatchScope scope(*this);
   for (const FlushItem& item : ack.items) {
     auto it = clients_.find(item.register_id);
     if (it == clients_.end()) continue;  // evicted or never ours
@@ -438,20 +379,12 @@ void MuxClient::OnNodeFlushAck(NodeId from, const NodeFlushAckMsg& ack) {
 }
 
 void MuxClient::RouteFlush(RegisterId id, OpLabel label, OpScope scope) {
+  SBFT_ASSERT(scope_depth_ > 0);  // the closing scope emits the window
   flush_.Request(id, label, scope);
-  if (scope_depth_ > 0) return;  // the closing scope emits the window
-  // No open window (shared flush without batching, or an op started
-  // outside any scope): the one-item round leaves immediately.
-  SBFT_ASSERT(endpoint_ != nullptr);
-  flush_.CloseWindow(*endpoint_, servers_);
 }
 
 void MuxClient::StartWrite(RegisterId id, Value value,
                            WriteCallback callback) {
-  if (!batching()) {
-    GetOrCreate(id).StartWrite(std::move(value), std::move(callback));
-    return;
-  }
   PendingOp op;
   op.id = id;
   op.is_write = true;
@@ -461,10 +394,6 @@ void MuxClient::StartWrite(RegisterId id, Value value,
 }
 
 void MuxClient::StartRead(RegisterId id, ReadCallback callback) {
-  if (!batching()) {
-    GetOrCreate(id).StartRead(std::move(callback));
-    return;
-  }
   PendingOp op;
   op.id = id;
   op.read_cb = std::move(callback);

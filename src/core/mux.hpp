@@ -3,12 +3,19 @@
 //
 // The paper emulates a single register; a cloud storage service needs a
 // namespace of them. Composition is by envelope: every inner protocol
-// frame travels inside MuxMsg{register_id, inner}, and each side hosts a
-// table of per-register automata behind an endpoint adaptor that
-// re-wraps outgoing frames with the same register id. The inner automata
-// are the UNCHANGED RegisterServer / RegisterClient — all correctness
-// and stabilization arguments apply per register verbatim, because the
-// registers share nothing but the transport.
+// frame travels as a MuxItem{register_id, inner} inside a MuxBatch frame,
+// and each side hosts a table of per-register automata behind endpoint
+// adaptors that collect outgoing frames under the same register id. The
+// inner automata are the UNCHANGED RegisterServer / RegisterClient — all
+// correctness and stabilization arguments apply per register verbatim,
+// because the registers share nothing but the transport.
+//
+// There is one client path: the mux client always batches (frames of
+// every register started or answered in one batch scope share one
+// MuxBatch frame per destination) and always shares FLUSH (one
+// node-level NodeFlush probe per window instead of one FlushMsg per op;
+// core/mux_flush.hpp). See docs/ARCHITECTURE.md, "Protocol-round
+// batching" and "Shared FLUSH rounds".
 //
 // Bounded state: the server-side table is capped (LRU-evicting an idle
 // register re-admits it later in its initial state — equivalent to a
@@ -36,27 +43,19 @@ namespace sbft {
 /// keys onto the same register — acceptable for a 64-bit space.
 RegisterId RegisterIdOf(std::string_view key);
 
-/// Batch window for protocol-round batching (0 disables it; see
-/// docs/ARCHITECTURE.md, "Protocol-round batching"). While a batch
-/// scope is open on the mux client, outgoing frames of ALL registers
-/// coalesce into one MuxBatch frame per destination, and newly
-/// submitted ops wait in a pending queue so they join the next shared
-/// round.
+/// Window for ops submitted OUTSIDE any batch scope. Inside a scope
+/// (the threaded runtime opens one around every mailbox drain) ops
+/// always queue and start together when the scope closes, so these
+/// values only shape callers that submit between scopes, such as the
+/// simulator.
 struct MuxBatchOptions {
-  /// Flush the pending-op queue as soon as it reaches this depth.
-  std::size_t max_ops = 0;
+  /// Start the queued ops as soon as the queue reaches this depth.
+  std::size_t max_ops = 1;
   /// Latency bound: a timer fired this long after the first queued op
-  /// flushes the queue even if max_ops was never reached. With
-  /// max_delay = 0 no timer is ever armed: ops arriving in the same
-  /// batch scope (one mailbox drain) still coalesce, but ops arriving
-  /// outside any scope start their round immediately.
+  /// starts the queue even if max_ops was never reached. With
+  /// max_delay = 0 (the default) no timer is ever armed and an op
+  /// submitted outside any scope starts its round immediately.
   VirtualTime max_delay = 0;
-  /// Hoist the FLUSH round to the node level: registers starting an op
-  /// in the same batch window share ONE NodeFlush probe instead of
-  /// broadcasting one FlushMsg each (see core/mux_flush.hpp and
-  /// docs/ARCHITECTURE.md, "Shared FLUSH rounds"). Per-op protocol
-  /// rounds drop from ~2 to ~1 + 1/W at window size W.
-  bool shared_flush = false;
 };
 
 /// Per-destination accumulation of enveloped inner frames during a
@@ -143,30 +142,28 @@ class MuxClient : public Automaton {
   void OnStart(IEndpoint& endpoint) override;
   void OnFrame(NodeId from, BytesView frame, IEndpoint& endpoint) override;
   void OnTimer(int timer_id, IEndpoint& endpoint) override;
-  /// Runtime batch boundary: with batching on, one scope spans the
-  /// whole drained batch, so frames sent in response to EVERY item of
-  /// one wakeup — and ops submitted by tasks or callbacks inside it —
-  /// share one round (the 5-10x lever on the threaded backends).
+  /// Runtime batch boundary: one scope spans the whole drained batch,
+  /// so frames sent in response to EVERY item of one wakeup — and ops
+  /// submitted by tasks or callbacks inside it — share one round (the
+  /// 5-10x lever on the threaded backends).
   void OnBatchStart(IEndpoint& endpoint) override;
   void OnBatchEnd(IEndpoint& endpoint) override;
   void CorruptState(Rng& rng) override;
 
   /// Operations on independent registers may run concurrently; two
   /// operations on the SAME register must be sequential (as for a
-  /// plain RegisterClient). With batching enabled, a submitted op may
-  /// wait in the pending queue for up to max_delay before its first
-  /// protocol phase goes out.
+  /// plain RegisterClient). A submitted op waits in the pending queue
+  /// until the open batch scope closes — or, outside any scope, for up
+  /// to max_delay — before its first protocol phase goes out.
   void StartWrite(RegisterId id, Value value, WriteCallback callback);
   void StartRead(RegisterId id, ReadCallback callback);
   [[nodiscard]] bool idle(RegisterId id);
 
-  [[nodiscard]] bool batching() const { return batch_.max_ops > 0; }
-  [[nodiscard]] bool shared_flush() const { return batch_.shared_flush; }
   /// Ops queued but not yet started (diagnostics/tests).
   [[nodiscard]] std::size_t pending_ops() const { return pending_.size(); }
   /// NodeFlush rounds emitted so far — the amortization observable:
-  /// with shared flush on, this grows ~W times slower than the op count
-  /// for a full window of W.
+  /// this grows ~W times slower than the op count for a full window
+  /// of W.
   [[nodiscard]] std::uint64_t node_flush_rounds() const {
     return flush_.rounds();
   }
@@ -181,9 +178,9 @@ class MuxClient : public Automaton {
 
  private:
   /// An inner client plus the routing endpoint it cached at OnStart
-  /// (the router must live exactly as long as the client). With shared
-  /// flush on, the flush provider routes the client's FLUSH rounds
-  /// through the owning mux's coordinator the same way.
+  /// (the router must live exactly as long as the client). The flush
+  /// provider routes the client's FLUSH rounds through the owning mux's
+  /// coordinator the same way.
   ///
   /// This lifetime rule is per-NODE: each mux node owns the routers of
   /// its inner clients and nothing outside the node may hold one. The
@@ -217,8 +214,8 @@ class MuxClient : public Automaton {
   void RouteSend(RegisterId id, NodeId dst, Bytes frame);
   void RouteBroadcast(RegisterId id, std::span<const NodeId> dsts,
                       Bytes frame);
-  /// A register's FLUSH round joins the open window, or — outside any
-  /// scope — goes out immediately as a one-item NodeFlush round.
+  /// A register's FLUSH round joins the open window; the closing scope
+  /// emits it as one NodeFlush round.
   void RouteFlush(RegisterId id, OpLabel label, OpScope scope);
   /// Distribute a node-level flush ack element-wise to the inner
   /// automata (late acks included — the per-register safe-set extension
@@ -243,7 +240,8 @@ class MuxClient : public Automaton {
   std::unordered_map<RegisterId, std::list<RegisterId>::iterator> lru_pos_;
   MuxBatchCollector collector_;
   SharedFlushCoordinator flush_;
-  /// Depth of nested batch scopes; outgoing frames coalesce while > 0.
+  /// Depth of nested batch scopes. Inner automata only send while one
+  /// is open, so every outgoing frame coalesces.
   int scope_depth_ = 0;
   bool timer_armed_ = false;
   std::vector<PendingOp> pending_;

@@ -235,7 +235,6 @@ RunOutcome RunMuxScenario(const Scenario& scenario,
   MuxBatchOptions batch;
   batch.max_ops = scenario.mux_window;
   batch.max_delay = 50;  // sim ticks; same scale as the delay policy
-  batch.shared_flush = true;
   auto client_owner = std::make_unique<MuxClient>(
       config, server_ids, static_cast<ClientId>(config.n),
       /*max_registers=*/1024, batch);

@@ -61,8 +61,6 @@ RegisterCluster::Options ClusterOptionsFor(const Scenario& scenario) {
   options.n_clients = scenario.n_keys;
   options.seed = scenario.seed;
   options.shaping = scenario.shaping;
-  options.batch_max_ops = scenario.batch_max_ops;
-  options.batch_max_delay_us = scenario.batch_max_delay_us;
   return options;
 }
 

@@ -51,10 +51,6 @@ struct Scenario {
   std::vector<RatePhase> phases;
   /// Link shaping applied to every inter-node link of the cluster.
   LinkShaping shaping;
-  /// Protocol-round batching window for the cluster (see
-  /// RegisterCluster::Options::batch_max_ops); 0 runs unbatched.
-  std::size_t batch_max_ops = 0;
-  std::uint64_t batch_max_delay_us = 200;
   std::vector<CorruptionSpec> corruptions;
   /// Independent register groups behind the consistent-hash router
   /// (runtime/sharded_cluster.hpp). 1 = the classic single-group

@@ -38,7 +38,8 @@ enum class Tag : std::uint8_t {
   kNqWriteAck = 43,
   kNqRead = 44,
   kNqReadReply = 45,
-  kMux = 60,
+  // 60 is retired (the single-register mux envelope). Do not reuse it:
+  // a stray frame in the old shape must stay an unknown tag.
   kMuxBatch = 61,
   kNodeFlush = 62,
   kNodeFlushAck = 63,
@@ -75,7 +76,6 @@ template <> struct WireTag<NqWriteMsg> { static constexpr Tag value = Tag::kNqWr
 template <> struct WireTag<NqWriteAckMsg> { static constexpr Tag value = Tag::kNqWriteAck; };
 template <> struct WireTag<NqReadMsg> { static constexpr Tag value = Tag::kNqRead; };
 template <> struct WireTag<NqReadReplyMsg> { static constexpr Tag value = Tag::kNqReadReply; };
-template <> struct WireTag<MuxMsg> { static constexpr Tag value = Tag::kMux; };
 template <> struct WireTag<MuxBatchMsg> { static constexpr Tag value = Tag::kMuxBatch; };
 template <> struct WireTag<NodeFlushMsg> { static constexpr Tag value = Tag::kNodeFlush; };
 template <> struct WireTag<NodeFlushAckMsg> { static constexpr Tag value = Tag::kNodeFlushAck; };
@@ -391,17 +391,6 @@ NqReadReplyMsg NqReadReplyMsg::DecodeFrom(BufReader& r) {
   return m;
 }
 
-void MuxMsg::EncodeInto(BufWriter& w) const {
-  w.Put<std::uint64_t>(register_id);
-  w.PutBytes(inner);
-}
-MuxMsg MuxMsg::DecodeFrom(BufReader& r) {
-  MuxMsg m;
-  m.register_id = r.Get<std::uint64_t>();
-  m.inner = r.GetBytesView();
-  return m;
-}
-
 void MuxItem::EncodeInto(BufWriter& w) const {
   w.Put<std::uint64_t>(register_id);
   w.PutBytes(inner);
@@ -471,16 +460,6 @@ void EncodeMessageInto(const Message& message, BufWriter& w) {
 Bytes EncodeMessage(const Message& message) {
   BufWriter w(FramePool().Acquire());
   EncodeMessageInto(message, w);
-  return w.Take();
-}
-
-Bytes EncodeMuxEnvelope(std::uint64_t register_id, BytesView inner) {
-  BufWriter w(FramePool().Acquire());
-  w.Reserve(sizeof(Tag) + sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-            inner.size());
-  w.Put<Tag>(Tag::kMux);
-  w.Put<std::uint64_t>(register_id);
-  w.PutBytes(inner);
   return w.Take();
 }
 
@@ -584,7 +563,6 @@ std::string MessageTypeName(const Message& message) {
     std::string operator()(const NqWriteAckMsg&) { return "NQ_WRITE_ACK"; }
     std::string operator()(const NqReadMsg&) { return "NQ_READ"; }
     std::string operator()(const NqReadReplyMsg&) { return "NQ_READ_REPLY"; }
-    std::string operator()(const MuxMsg&) { return "MUX"; }
     std::string operator()(const MuxBatchMsg&) { return "MUX_BATCH"; }
     std::string operator()(const NodeFlushMsg&) { return "NODE_FLUSH"; }
     std::string operator()(const NodeFlushAckMsg&) { return "NODE_FLUSH_ACK"; }

@@ -300,20 +300,10 @@ struct NqReadReplyMsg {
 
 // --- Multiplexing envelope (multi-register storage service) -----------
 
-/// Wraps an inner protocol frame with a register identifier, letting one
-/// server process host many independent registers (core/mux.hpp). The
-/// identifier is typically a 64-bit key hash. The inner frame is a view;
-/// EncodeMuxEnvelope builds the envelope around an already-encoded inner
-/// frame without re-encoding it.
-struct MuxMsg {
-  std::uint64_t register_id = 0;
-  BytesView inner;
-
-  void EncodeInto(BufWriter& w) const;
-  static MuxMsg DecodeFrom(BufReader& r);
-};
-
-/// One register's sub-frame inside a MuxBatchMsg.
+/// One register's sub-frame inside a MuxBatchMsg: an inner protocol
+/// frame tagged with a register identifier, letting one server process
+/// host many independent registers (core/mux.hpp). The identifier is
+/// typically a 64-bit key hash; the inner frame is a view.
 struct MuxItem {
   std::uint64_t register_id = 0;
   BytesView inner;
@@ -331,8 +321,9 @@ struct MuxItem {
 /// and applies the whole vector of register sub-ops; the replies it
 /// produces while dispatching are coalesced the same way, so one frame
 /// per link carries one protocol phase of many logical ops (see
-/// docs/ARCHITECTURE.md, "Protocol-round batching"). Like MuxMsg, the
-/// inner payloads are views into the frame being decoded.
+/// docs/ARCHITECTURE.md, "Protocol-round batching"). The inner payloads
+/// are views into the frame being decoded. It is the only envelope that
+/// carries register traffic: a batch of one is the single-op frame.
 struct MuxBatchMsg {
   std::vector<MuxItem> items;
 
@@ -385,7 +376,7 @@ using Message = std::variant<
     BuGetTsMsg, BuTsReplyMsg, BuWriteMsg, BuWriteAckMsg, BuReadMsg,
     BuReadReplyMsg,
     NqGetTsMsg, NqTsReplyMsg, NqWriteMsg, NqWriteAckMsg, NqReadMsg,
-    NqReadReplyMsg, MuxMsg, MuxBatchMsg, NodeFlushMsg, NodeFlushAckMsg>;
+    NqReadReplyMsg, MuxBatchMsg, NodeFlushMsg, NodeFlushAckMsg>;
 
 /// Frame codec. Encode never fails; Decode fails on unknown type bytes,
 /// truncation, implausible lengths, or trailing garbage. Decode is
@@ -397,15 +388,7 @@ void EncodeMessageInto(const Message& message, BufWriter& w);
 [[nodiscard]] Bytes EncodeMessage(const Message& message);
 [[nodiscard]] Result<Message> DecodeMessage(BytesView frame);
 
-/// The MuxMsg fast path: frame an already-encoded inner message in
-/// place. Byte-identical to EncodeMessage(Message(MuxMsg{id, inner}))
-/// with a single exact-size buffer and no second encode of the inner
-/// payload.
-[[nodiscard]] Bytes EncodeMuxEnvelope(std::uint64_t register_id,
-                                      BytesView inner);
-
-/// The MuxBatchMsg fast path — the batching counterpart of
-/// EncodeMuxEnvelope. Already-encoded inner frames stream into one
+/// The MuxBatchMsg fast path. Already-encoded inner frames stream into one
 /// pooled buffer as they are produced; the count prefix is patched when
 /// the frame is taken, so there is no second encode and no intermediate
 /// item vector. Take() is byte-identical to

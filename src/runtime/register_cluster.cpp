@@ -56,17 +56,9 @@ RegisterCluster::RegisterCluster(const Options& options)
     server_ids.push_back(cluster_.AddNode(std::move(server)));
   }
   if (options.multiplex) {
-    MuxBatchOptions batch;
-    if (options.batch_max_ops > 0) {
-      batch.max_ops = options.batch_max_ops;
-      batch.max_delay = static_cast<VirtualTime>(options.batch_max_delay_us);
-      batch.shared_flush = options.shared_flush;
-      batched_ = true;
-      shared_flush_ = options.shared_flush;
-    }
     auto client = std::make_unique<MuxClient>(
         config_, server_ids, static_cast<ClientId>(config_.n),
-        /*max_registers=*/std::max<std::size_t>(1024, n_clients_ + 1), batch);
+        /*max_registers=*/std::max<std::size_t>(1024, n_clients_ + 1));
     mux_client_ = client.get();
     mux_client_id_ = cluster_.AddNode(std::move(client));
   } else {

@@ -10,7 +10,9 @@
 //     its own register (RegisterId = logical index + 1) over MuxServer
 //     replicas. Operations of distinct logical clients are independent
 //     protocol instances, so hundreds of them pipeline over a handful
-//     of connections — the topology the high-concurrency bench sweeps.
+//     of connections — the serving path every bench drives. The mux
+//     client batches and shares FLUSH rounds; each node thread's
+//     mailbox drain is the batch window (core/mux.hpp).
 #pragma once
 
 #include <chrono>
@@ -44,19 +46,6 @@ class RegisterCluster {
     /// Slow/lossy link emulation for every inter-node link (see
     /// runtime/link_shaper.hpp); disabled when all-zero.
     LinkShaping shaping;
-    /// Protocol-round batching window for the multiplex topology
-    /// (core/mux.hpp MuxBatchOptions): coalesce up to batch_max_ops
-    /// pending ops — and the protocol frames of every in-flight round —
-    /// into shared MuxBatch frames. 0 disables batching; ignored
-    /// without multiplex.
-    std::size_t batch_max_ops = 0;
-    /// Latency bound: a lone pending op waits at most this long before
-    /// its round goes out.
-    std::uint64_t batch_max_delay_us = 200;
-    /// Share one node-level FLUSH round per batch window instead of one
-    /// FlushMsg broadcast per op (core/mux_flush.hpp). Requires
-    /// batching (batch_max_ops > 0); ignored without multiplex.
-    bool shared_flush = false;
   };
 
   explicit RegisterCluster(const Options& options);
@@ -88,8 +77,6 @@ class RegisterCluster {
   [[nodiscard]] ThreadCluster& cluster() { return cluster_; }
   [[nodiscard]] std::size_t n_clients() const { return n_clients_; }
   [[nodiscard]] bool multiplexed() const { return mux_client_ != nullptr; }
-  [[nodiscard]] bool batched() const { return batched_; }
-  [[nodiscard]] bool shared_flush() const { return shared_flush_; }
   /// NodeFlush rounds the mux client emitted (0 on non-mux topologies).
   /// Thread-safe only once traffic has quiesced.
   [[nodiscard]] std::uint64_t node_flush_rounds() const {
@@ -110,8 +97,6 @@ class RegisterCluster {
   // Multiplex topology: all logical clients live in this node.
   MuxClient* mux_client_ = nullptr;
   NodeId mux_client_id_ = kNoNode;
-  bool batched_ = false;
-  bool shared_flush_ = false;
 };
 
 }  // namespace sbft

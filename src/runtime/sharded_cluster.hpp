@@ -2,12 +2,12 @@
 // client-side consistent-hash router.
 //
 // Each group is a full RegisterCluster — its own n > 5f server
-// population, quorum system, mux/shared-flush stack, mailbox namespace,
-// and (on TCP) its own listener sockets and connections, each driven by
-// the node thread that owns it — so groups share NOTHING but the
-// process: protocol and socket work of different groups runs on
-// different node threads and scales with cores. The
-// router consistent-hashes 64-bit keys over the groups (core/
+// population, quorum system, batching mux with shared FLUSH rounds
+// (core/mux.hpp), mailbox namespace, and (on TCP) its own listener
+// sockets and connections, each driven by the node thread that owns it
+// — so groups share NOTHING but the process: protocol and socket work
+// of different groups runs on different node threads and scales with
+// cores. The router consistent-hashes 64-bit keys over the groups (core/
 // shard_map.hpp) and forwards the async register API, so the load
 // driver and benches drive a sharded deployment exactly as they drive
 // one group.
@@ -41,10 +41,10 @@ namespace sbft {
 class ShardedCluster {
  public:
   struct Options {
-    /// Per-group deployment template (servers, transport, batching,
-    /// shared flush, ...). Each group forks its own seed from
-    /// `group.seed` so groups are independent but the whole deployment
-    /// stays reproducible.
+    /// Per-group deployment template (servers, transport, link
+    /// shaping, ...; multiplex must be set). Each group forks its own
+    /// seed from `group.seed` so groups are independent but the whole
+    /// deployment stays reproducible.
     RegisterCluster::Options group;
     std::size_t n_groups = 1;
     std::size_t vnodes_per_group = ShardMap::kDefaultVnodesPerGroup;

@@ -1,6 +1,7 @@
 // Multi-register multiplexing: independent registers over one server
 // population, concurrent per-register operations, isolation, bounded
-// tables, and full fault tolerance per register.
+// tables, full fault tolerance per register, batch windows, shared
+// FLUSH rounds, and the frame types the serving path puts on the wire.
 #include "core/mux.hpp"
 
 #include <gtest/gtest.h>
@@ -8,10 +9,14 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "load/stabilization.hpp"
+#include "net/message.hpp"
+#include "sim/trace.hpp"
 #include "sim/world.hpp"
 #include "spec/history.hpp"
 
@@ -187,10 +192,11 @@ MuxBatchOptions Batch(std::size_t max_ops, VirtualTime max_delay = 50) {
 
 TEST(MuxBatch, LoneOpFlushedByTimer) {
   // A single op never reaches max_ops; the max_delay timer must push
-  // its round out (latency bound of the batch window).
+  // its round out (latency bound of the batch window), flush request
+  // included, as a one-item NodeFlush round.
   MuxRig rig(21, 1024, false, Batch(/*max_ops=*/8, /*max_delay=*/50));
-  ASSERT_TRUE(rig.client->batching());
   ASSERT_TRUE(rig.Put("alpha", Val("1")));
+  EXPECT_GE(rig.client->node_flush_rounds(), 1u);
   auto got = rig.Get("alpha");
   ASSERT_EQ(got.status, OpStatus::kOk);
   EXPECT_EQ(got.value, Val("1"));
@@ -238,6 +244,8 @@ TEST(MuxBatch, ConcurrentOpsOnDistinctKeysBatched) {
 }
 
 TEST(MuxBatch, ByzantinePerRegisterMaskedBatched) {
+  // The stale-replay server of Mux.ByzantinePerRegisterMasked, behind a
+  // four-op window with a 50 us timer instead of the default window.
   MuxRig rig(24, 1024, /*one_byzantine=*/true, Batch(/*max_ops=*/4));
   for (int i = 0; i < 5; ++i) {
     const std::string key = "k" + std::to_string(i);
@@ -275,7 +283,8 @@ std::pair<std::vector<Value>, VirtualTime> BatchedRun(std::uint64_t seed) {
 TEST(MuxBatch, BatchedRunsAreDeterministic) {
   // Same seed, same batch window -> bit-identical outcome, including
   // the virtual clock: the collector flushes per destination in
-  // ascending NodeId order, so batching adds no scheduling ambiguity.
+  // ascending NodeId order and the NodeFlush probe goes out before the
+  // batch frames, so batching adds no scheduling ambiguity.
   auto [values_a, now_a] = BatchedRun(25);
   auto [values_b, now_b] = BatchedRun(25);
   EXPECT_EQ(values_a, values_b);
@@ -283,78 +292,6 @@ TEST(MuxBatch, BatchedRunsAreDeterministic) {
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(values_a[i], Val("w" + std::to_string(i)));
   }
-}
-
-TEST(MuxBatch, BatchedHistoryIsRegularPerKey) {
-  // Record a concurrent batched workload as a History and run the
-  // per-key regular-register checker over it: frame-level coalescing
-  // must not reorder any single register's protocol phases.
-  MuxRig rig(26, 1024, false, Batch(/*max_ops=*/4, /*max_delay=*/50));
-  constexpr int kKeys = 4;
-  constexpr int kRoundsPerKey = 3;
-  History history;
-  int outstanding = 0;
-
-  // Closed loop per key: write then read, repeated; keys run
-  // concurrently so their rounds share batch frames.
-  struct KeyDriver {
-    int round = 0;
-    bool reading = false;
-  };
-  std::vector<KeyDriver> drivers(kKeys);
-  std::function<void(int)> step = [&](int key) {
-    KeyDriver& driver = drivers[key];
-    if (driver.round == kRoundsPerKey) {
-      --outstanding;
-      return;
-    }
-    const std::string name = "key" + std::to_string(key);
-    OpRecord rec;
-    rec.client = static_cast<std::uint32_t>(key);
-    rec.invoked_at = rig.world->now();
-    if (!driver.reading) {
-      driver.reading = true;
-      const Value value =
-          Val("k" + std::to_string(key) + "r" + std::to_string(driver.round));
-      rec.kind = OpRecord::Kind::kWrite;
-      rec.value = value;
-      rig.client->Put(name, value, [&, key, rec](const WriteOutcome& out) {
-        OpRecord done = rec;
-        done.returned_at = rig.world->now();
-        done.result = out.status == OpStatus::kOk ? OpRecord::Result::kOk
-                                                  : OpRecord::Result::kFailed;
-        history.Add(std::move(done));
-        step(key);
-      });
-    } else {
-      driver.reading = false;
-      ++driver.round;
-      rec.kind = OpRecord::Kind::kRead;
-      rig.client->Get(name, [&, key, rec](const ReadOutcome& out) {
-        OpRecord done = rec;
-        done.returned_at = rig.world->now();
-        done.result = out.status == OpStatus::kOk
-                          ? OpRecord::Result::kOk
-                          : OpRecord::Result::kAborted;
-        done.value = out.value;
-        history.Add(std::move(done));
-        step(key);
-      });
-    }
-  };
-  for (int key = 0; key < kKeys; ++key) {
-    ++outstanding;
-    step(key);
-  }
-  ASSERT_TRUE(
-      rig.world->RunUntil([&] { return outstanding == 0; }, 10'000'000));
-  ASSERT_EQ(history.size(),
-            static_cast<std::size_t>(kKeys * kRoundsPerKey * 2));
-  for (const OpRecord& rec : history.ops()) {
-    EXPECT_EQ(rec.result, OpRecord::Result::kOk);
-  }
-  const CheckReport report = load::CheckRegularPerKey(history, {});
-  EXPECT_TRUE(report.ok) << report.Summary();
 }
 
 // Closed-loop write/read rounds per key, keys concurrent, recorded as a
@@ -417,6 +354,21 @@ History RunKeyDriverWorkload(MuxRig& rig, int keys, int rounds_per_key) {
   return history;
 }
 
+TEST(MuxBatch, BatchedHistoryIsRegularPerKey) {
+  // Record a concurrent batched workload as a History and run the
+  // per-key regular-register checker over it: frame-level coalescing
+  // must not reorder any single register's protocol phases.
+  MuxRig rig(26, 1024, false, Batch(/*max_ops=*/4, /*max_delay=*/50));
+  const History history = RunKeyDriverWorkload(rig, /*keys=*/4,
+                                               /*rounds_per_key=*/3);
+  ASSERT_EQ(history.size(), 24u);
+  for (const OpRecord& rec : history.ops()) {
+    EXPECT_EQ(rec.result, OpRecord::Result::kOk);
+  }
+  const CheckReport report = load::CheckRegularPerKey(history, {});
+  EXPECT_TRUE(report.ok) << report.Summary();
+}
+
 TEST(MuxBatch, CoordinatedCorruptionAnswersReadsThenHeals) {
   // All six replicas corrupted from ONE seed: the per-register rng fork
   // in MuxServer::CorruptState makes the garbage AGREE across replicas,
@@ -443,19 +395,11 @@ TEST(MuxBatch, CoordinatedCorruptionAnswersReadsThenHeals) {
 
 // ---- Shared FLUSH rounds ---------------------------------------------
 
-MuxBatchOptions SharedBatch(std::size_t max_ops, VirtualTime max_delay = 50) {
-  MuxBatchOptions batch = Batch(max_ops, max_delay);
-  batch.shared_flush = true;
-  return batch;
-}
-
 TEST(MuxSharedFlush, WindowSharesOneNodeFlushRound) {
   // Eight ops on distinct registers fill one window: exactly ONE
   // NodeFlush probe goes out for all of them instead of eight FlushMsg
   // broadcasts — the amortization the shared round buys.
-  MuxRig rig(31, 1024, false, SharedBatch(/*max_ops=*/8,
-                                          /*max_delay=*/1'000'000));
-  ASSERT_TRUE(rig.client->shared_flush());
+  MuxRig rig(31, 1024, false, Batch(/*max_ops=*/8, /*max_delay=*/1'000'000));
   int done = 0;
   for (int i = 0; i < 8; ++i) {
     rig.client->Put("key" + std::to_string(i), Val("v" + std::to_string(i)),
@@ -486,63 +430,76 @@ TEST(MuxSharedFlush, WindowSharesOneNodeFlushRound) {
 
 TEST(MuxSharedFlush, LoneOpFlushedByTimer) {
   // Latency floor: a lone op's flush request must ride the max_delay
-  // timer out as a one-item NodeFlush round, like a lone batched op.
-  MuxRig rig(32, 1024, false, SharedBatch(/*max_ops=*/8, /*max_delay=*/50));
+  // timer out as a one-item NodeFlush round — exactly one round per op.
+  MuxRig rig(32, 1024, false, Batch(/*max_ops=*/8, /*max_delay=*/50));
   ASSERT_TRUE(rig.Put("alpha", Val("1")));
-  EXPECT_GE(rig.client->node_flush_rounds(), 1u);
+  EXPECT_EQ(rig.client->node_flush_rounds(), 1u);
   auto got = rig.Get("alpha");
   ASSERT_EQ(got.status, OpStatus::kOk);
   EXPECT_EQ(got.value, Val("1"));
+  EXPECT_EQ(rig.client->node_flush_rounds(), 2u);
 }
 
 TEST(MuxSharedFlush, ByzantinePerRegisterMasked) {
-  MuxRig rig(33, 1024, /*one_byzantine=*/true, SharedBatch(/*max_ops=*/4));
-  for (int i = 0; i < 5; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    ASSERT_TRUE(rig.Put(key, Val("val" + std::to_string(i))));
-    auto got = rig.Get(key);
-    ASSERT_EQ(got.status, OpStatus::kOk);
-    EXPECT_EQ(got.value, Val("val" + std::to_string(i)));
-  }
-}
-
-// Runs the deterministic batched workload of BatchedRun with shared
-// flush on (writes then reads over 6 keys).
-std::pair<std::vector<Value>, VirtualTime> SharedFlushRun(std::uint64_t seed) {
-  MuxRig rig(seed, 1024, false, SharedBatch(/*max_ops=*/4, /*max_delay=*/50));
+  // The stale-replay server sits in NodeFlush rounds that several
+  // registers share: five writes, then five reads, each set submitted
+  // at once so their FLUSH phases ride common rounds.
+  MuxRig rig(33, 1024, /*one_byzantine=*/true, Batch(/*max_ops=*/4));
   int writes = 0;
-  for (int i = 0; i < 6; ++i) {
-    rig.client->Put("key" + std::to_string(i), Val("w" + std::to_string(i)),
-                    [&](const WriteOutcome&) { ++writes; });
+  for (int i = 0; i < 5; ++i) {
+    rig.client->Put("k" + std::to_string(i), Val("val" + std::to_string(i)),
+                    [&](const WriteOutcome& outcome) {
+                      EXPECT_EQ(outcome.status, OpStatus::kOk);
+                      ++writes;
+                    });
   }
-  EXPECT_TRUE(rig.world->RunUntil([&] { return writes == 6; }, 2'000'000));
-  std::vector<Value> values(6);
+  ASSERT_TRUE(rig.world->RunUntil([&] { return writes == 5; }, 2'000'000));
   int reads = 0;
-  for (int i = 0; i < 6; ++i) {
-    rig.client->Get("key" + std::to_string(i),
+  for (int i = 0; i < 5; ++i) {
+    rig.client->Get("k" + std::to_string(i),
                     [&, i](const ReadOutcome& outcome) {
-                      values[i] = outcome.value;
+                      EXPECT_EQ(outcome.status, OpStatus::kOk);
+                      EXPECT_EQ(outcome.value, Val("val" + std::to_string(i)));
                       ++reads;
                     });
   }
-  EXPECT_TRUE(rig.world->RunUntil([&] { return reads == 6; }, 2'000'000));
-  return {values, rig.world->now()};
+  ASSERT_TRUE(rig.world->RunUntil([&] { return reads == 5; }, 2'000'000));
+  EXPECT_LT(rig.client->node_flush_rounds(), 10u);
+}
+
+// The frames a seeded shared-FLUSH workload puts on the wire, in send
+// order, as (virtual time, src, dst, payload hash).
+std::vector<std::tuple<VirtualTime, NodeId, NodeId, std::uint64_t>>
+SharedFlushWire(std::uint64_t seed) {
+  MuxRig rig(seed, 1024, false, Batch(/*max_ops=*/4, /*max_delay=*/50));
+  rig.world->trace().Enable(true);
+  const History history = RunKeyDriverWorkload(rig, /*keys=*/4,
+                                               /*rounds_per_key=*/2);
+  EXPECT_EQ(history.size(), 16u);
+  std::vector<std::tuple<VirtualTime, NodeId, NodeId, std::uint64_t>> sends;
+  for (const TraceEvent& event : rig.world->trace().events()) {
+    if (event.kind != TraceKind::kSend) continue;
+    sends.emplace_back(event.time, event.src, event.dst, event.frame_hash);
+  }
+  return sends;
 }
 
 TEST(MuxSharedFlush, SharedFlushRunsAreDeterministic) {
   // NodeFlush rounds flush before the batch frames in a fixed order, so
-  // shared flush adds no scheduling ambiguity either.
-  auto [values_a, now_a] = SharedFlushRun(34);
-  auto [values_b, now_b] = SharedFlushRun(34);
-  EXPECT_EQ(values_a, values_b);
-  EXPECT_EQ(now_a, now_b);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(values_a[i], Val("w" + std::to_string(i)));
-  }
+  // shared FLUSH adds no scheduling ambiguity either: two runs of one
+  // seed send the same frames between the same nodes at the same
+  // virtual times.
+  const auto wire_a = SharedFlushWire(34);
+  const auto wire_b = SharedFlushWire(34);
+  EXPECT_FALSE(wire_a.empty());
+  EXPECT_EQ(wire_a, wire_b);
 }
 
 TEST(MuxSharedFlush, HistoryIsRegularPerKey) {
-  MuxRig rig(35, 1024, false, SharedBatch(/*max_ops=*/4, /*max_delay=*/50));
+  // A concurrent workload recorded as a History and judged by the
+  // per-key regular-register checker: frame coalescing and shared FLUSH
+  // rounds must not reorder any single register's protocol phases.
+  MuxRig rig(35, 1024, false, Batch(/*max_ops=*/4, /*max_delay=*/50));
   const History history = RunKeyDriverWorkload(rig, /*keys=*/4,
                                                /*rounds_per_key=*/3);
   ASSERT_EQ(history.size(), 24u);
@@ -566,7 +523,7 @@ TEST(MuxSharedFlush, EquivocatingFlushAckStillRegularPerKey) {
   // forged per-register FLUSH_ACKs, and every key must stay regular.
   for (std::uint64_t seed = 40; seed < 46; ++seed) {
     MuxRig rig(seed, 1024, /*one_byzantine=*/true,
-               SharedBatch(/*max_ops=*/4, /*max_delay=*/50));
+               Batch(/*max_ops=*/4, /*max_delay=*/50));
     rig.servers[2]->SetFlushAckMutator(MakeFlushEquivocator(seed * 7 + 1));
     const History history = RunKeyDriverWorkload(rig, /*keys=*/4,
                                                  /*rounds_per_key=*/2);
@@ -582,7 +539,7 @@ TEST(MuxSharedFlush, EquivocatingFlushAckStillRegularPerKey) {
 TEST(MuxSharedFlush, TransientCorruptionHeals) {
   // CorruptState clears the coordinator's window; stabilization must
   // still go through with shared flush on.
-  MuxRig rig(36, 1024, false, SharedBatch(/*max_ops=*/4, /*max_delay=*/50));
+  MuxRig rig(36, 1024, false, Batch(/*max_ops=*/4, /*max_delay=*/50));
   ASSERT_TRUE(rig.Put("k", Val("before")));
   for (std::size_t i = 0; i < 6; ++i) {
     rig.world->CorruptNode(rig.server_ids[i]);
@@ -611,10 +568,11 @@ struct NullEndpoint final : IEndpoint {
 };
 
 TEST(MuxBatch, ZeroDelayCoalescesWithinOneScope) {
-  // max_delay = 0 must NOT degenerate to one-op rounds: ops submitted
-  // inside one batch scope (one runtime mailbox drain) still coalesce
-  // into a single shared round, released when the scope closes.
-  MuxRig rig(37, 1024, false, SharedBatch(/*max_ops=*/8, /*max_delay=*/0));
+  // The default window (max_delay = 0) must NOT degenerate to one-op
+  // rounds: ops submitted inside one batch scope (one runtime mailbox
+  // drain) still coalesce into a single shared round, released when the
+  // scope closes.
+  MuxRig rig(37);
   NullEndpoint hook;
   int done = 0;
   rig.client->OnBatchStart(hook);
@@ -635,9 +593,10 @@ TEST(MuxBatch, ZeroDelayCoalescesWithinOneScope) {
 }
 
 TEST(MuxBatch, ZeroDelayLoneOpStartsImmediately) {
-  // Outside any scope there is nothing to wait for: with max_delay = 0
-  // no timer is armed and the op's round starts on submission.
-  MuxRig rig(38, 1024, false, Batch(/*max_ops=*/8, /*max_delay=*/0));
+  // Outside any scope there is nothing to wait for: with the default
+  // window (max_delay = 0) no timer is armed and the op's round starts
+  // on submission.
+  MuxRig rig(38);
   bool done = false;
   rig.client->Put("alpha", Val("1"), [&](const WriteOutcome& outcome) {
     EXPECT_EQ(outcome.status, OpStatus::kOk);
@@ -651,25 +610,11 @@ TEST(MuxBatch, ZeroDelayLoneOpStartsImmediately) {
 }
 
 TEST(MuxBatch, ZeroDelaySameRegisterBackToBackTerminates) {
-  // Two ops on the SAME register: the second requeues (register busy)
-  // and must restart via a reply-driven scope close — never via a
-  // zero-delay timer, which would livelock the virtual clock.
-  MuxRig rig(39, 1024, false, Batch(/*max_ops=*/8, /*max_delay=*/0));
-  int done = 0;
-  rig.client->Put("k", Val("first"), [&](const WriteOutcome& outcome) {
-    EXPECT_EQ(outcome.status, OpStatus::kOk);
-    ++done;
-  });
-  rig.client->Put("k", Val("second"), [&](const WriteOutcome& outcome) {
-    EXPECT_EQ(outcome.status, OpStatus::kOk);
-    ++done;
-  });
-  ASSERT_TRUE(rig.world->RunUntil([&] { return done == 2; }, 2'000'000));
-  EXPECT_EQ(rig.Get("k").value, Val("second"));
-}
-
-TEST(MuxSharedFlush, ZeroDelaySameRegisterBackToBackTerminates) {
-  MuxRig rig(41, 1024, false, SharedBatch(/*max_ops=*/8, /*max_delay=*/0));
+  // Back-to-back ops on the SAME register: each later one requeues
+  // (register busy) and must restart via a reply-driven scope close —
+  // never via a zero-delay timer, which would livelock the virtual
+  // clock.
+  MuxRig rig(39);
   int done = 0;
   for (int i = 0; i < 4; ++i) {
     rig.client->Put("k", Val("v" + std::to_string(i)),
@@ -680,6 +625,81 @@ TEST(MuxSharedFlush, ZeroDelaySameRegisterBackToBackTerminates) {
   }
   ASSERT_TRUE(rig.world->RunUntil([&] { return done == 4; }, 4'000'000));
   EXPECT_EQ(rig.Get("k").value, Val("v3"));
+}
+
+TEST(MuxSharedFlush, ZeroDelaySameRegisterBackToBackTerminates) {
+  // The same four back-to-back writes behind an eight-op zero-delay
+  // window: the requeued ops never fill it, so only reply-driven scope
+  // closes may restart them.
+  MuxRig rig(41, 1024, false, Batch(/*max_ops=*/8, /*max_delay=*/0));
+  int done = 0;
+  for (int i = 0; i < 4; ++i) {
+    rig.client->Put("k", Val("v" + std::to_string(i)),
+                    [&](const WriteOutcome& outcome) {
+                      EXPECT_EQ(outcome.status, OpStatus::kOk);
+                      ++done;
+                    });
+  }
+  ASSERT_TRUE(rig.world->RunUntil([&] { return done == 4; }, 2'000'000));
+  EXPECT_EQ(rig.Get("k").value, Val("v3"));
+}
+
+// ---- Wire shape ----------------------------------------------------------
+
+// Every frame of a recorded workload, by sender: the mux client sends
+// only MuxBatch frames and NodeFlush probes, the servers answer only
+// with MuxBatch frames and NodeFlush acks, and no batch carries a
+// per-register FLUSH — whatever the window.
+void ExpectServingPathWireShape(MuxRig& rig) {
+  rig.world->trace().Enable(true);
+  const History history = RunKeyDriverWorkload(rig, /*keys=*/4,
+                                               /*rounds_per_key=*/2);
+  ASSERT_EQ(history.size(), 16u);
+  std::size_t client_frames = 0;
+  std::size_t server_frames = 0;
+  for (const TraceEvent& event : rig.world->trace().events()) {
+    if (event.kind != TraceKind::kSend) continue;
+    auto decoded = DecodeMessage(event.frame());
+    ASSERT_TRUE(decoded.ok());
+    const Message& message = decoded.value();
+    const std::string type = MessageTypeName(message);
+    if (event.src == rig.client_id) {
+      ++client_frames;
+      EXPECT_TRUE(std::holds_alternative<MuxBatchMsg>(message) ||
+                  std::holds_alternative<NodeFlushMsg>(message))
+          << type;
+    } else {
+      ++server_frames;
+      EXPECT_TRUE(std::holds_alternative<MuxBatchMsg>(message) ||
+                  std::holds_alternative<NodeFlushAckMsg>(message))
+          << type;
+    }
+    const auto* batch = std::get_if<MuxBatchMsg>(&message);
+    if (batch == nullptr) continue;
+    for (const MuxItem& item : batch->items) {
+      auto inner = DecodeMessage(item.inner);
+      ASSERT_TRUE(inner.ok());
+      EXPECT_FALSE(std::holds_alternative<FlushMsg>(inner.value()) ||
+                   std::holds_alternative<FlushAckMsg>(inner.value()))
+          << "per-register " << MessageTypeName(inner.value()) << " in a "
+          << type;
+    }
+  }
+  EXPECT_GT(client_frames, 0u);
+  EXPECT_GT(server_frames, 0u);
+}
+
+TEST(MuxWire, OnlyBatchAndNodeFlushFramesOnTheWire) {
+  {
+    SCOPED_TRACE("default window");
+    MuxRig rig(51);
+    ExpectServingPathWireShape(rig);
+  }
+  {
+    SCOPED_TRACE("max_ops 4, max_delay 50");
+    MuxRig rig(52, 1024, false, Batch(/*max_ops=*/4, /*max_delay=*/50));
+    ExpectServingPathWireShape(rig);
+  }
 }
 
 }  // namespace

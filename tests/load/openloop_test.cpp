@@ -55,6 +55,10 @@ TEST(OpenLoop, MidLoadCorruptionStabilizesUnderTraffic) {
   // keep flowing, then demand: (a) the run keeps completing ops, (b)
   // the measured stabilization point exists inside the run, (c) the
   // checker finds zero violations among reads from that point on.
+  // The coordinated corruption seeds (one seed per event across all
+  // servers) make the injected garbage agree, so post-fault reads can
+  // be ANSWERED with fabricated values — the checker and the
+  // stabilization search must still converge on a clean suffix.
   Scenario scenario = CorruptionScenario(400.0, 300'000, 93);
   scenario.n_keys = 8;
   scenario.corruptions = {{50'000, {}}};
@@ -62,6 +66,7 @@ TEST(OpenLoop, MidLoadCorruptionStabilizesUnderTraffic) {
 
   ASSERT_EQ(result.corruption_times_us.size(), 1u);
   EXPECT_DOUBLE_EQ(result.completed_frac, 1.0);
+  EXPECT_EQ(result.failed, 0u);
   ASSERT_GT(result.ok, 0u);
 
   const StabilizationReport stabilization = MeasureStabilization(
@@ -83,16 +88,11 @@ TEST(OpenLoop, MidLoadCorruptionStabilizesUnderTraffic) {
 }
 
 TEST(OpenLoop, MidLoadCorruptionStabilizesBatched) {
-  // Same corruption-under-traffic measurement, over the batched op
-  // path: pending ops coalesce into shared MuxBatch rounds. The
-  // coordinated corruption seeds (one seed per event across all
-  // servers) make the injected garbage agree, so post-fault reads can
-  // be ANSWERED with fabricated values — the checker and the
-  // stabilization search must still converge on a clean suffix.
+  // Same corruption-under-traffic measurement on another seed: another
+  // arrival schedule, so other ops share the mux's batch rounds when
+  // the fault lands.
   Scenario scenario = CorruptionScenario(400.0, 300'000, 94);
   scenario.n_keys = 8;
-  scenario.batch_max_ops = 8;
-  scenario.batch_max_delay_us = 200;
   scenario.corruptions = {{50'000, {}}};
   const LoadResult result = RunOpenLoop(scenario);
 

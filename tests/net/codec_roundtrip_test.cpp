@@ -71,9 +71,6 @@ class SampleSet {
     Add(NqReadMsg{Rid()});
     Add(NqReadReplyMsg{Rid(), Ts(), Val()});
 
-    // Mux envelope around a genuine inner frame.
-    Add(MuxMsg{Rid(), Own(EncodeMessage(Message(ReadMsg{Op()})))});
-
     // Batched mux envelope: a random number of sub-frames (possibly
     // zero — an empty batch is legal on the wire) over genuine inner
     // encodes of different phases.
@@ -182,17 +179,6 @@ TEST(CodecRoundTrip, RepeatedEncodesThroughPoolAreIdentical) {
     const Bytes first = EncodeMessage(message);
     const Bytes second = EncodeMessage(message);
     EXPECT_EQ(first, second) << MessageTypeName(message);
-  }
-}
-
-TEST(CodecRoundTrip, MuxEnvelopeMatchesGenericEncode) {
-  Rng rng(11);
-  for (int i = 0; i < 50; ++i) {
-    const Bytes inner = RandomBytes(rng, rng.NextBelow(200));
-    const std::uint64_t id = rng();
-    const Bytes fast = EncodeMuxEnvelope(id, inner);
-    const Bytes generic = EncodeMessage(Message(MuxMsg{id, inner}));
-    EXPECT_EQ(fast, generic) << "iteration " << i;
   }
 }
 

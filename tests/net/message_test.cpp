@@ -120,33 +120,15 @@ TEST(MessageCodec, BaselineMessagesRoundTrip) {
       SameBytes(RoundTrip(NqReadReplyMsg{17, ts, v3}).msg.value, v3));
 }
 
-TEST(MessageCodec, MuxEnvelopeRoundTrip) {
-  const Bytes inner_wire = EncodeMessage(Message(ReadMsg{.label = 3}));
-  MuxMsg mux;
-  mux.register_id = 0xDEADBEEFCAFEF00Dull;
-  mux.inner = inner_wire;
-  Bytes wire = EncodeMessage(Message(mux));
-  auto decoded = DecodeMessage(wire);
-  ASSERT_TRUE(decoded.ok());
-  const auto* out = std::get_if<MuxMsg>(&decoded.value());
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->register_id, mux.register_id);
-  auto inner = DecodeMessage(out->inner);
-  ASSERT_TRUE(inner.ok());
-  EXPECT_NE(std::get_if<ReadMsg>(&inner.value()), nullptr);
-}
-
 TEST(MessageCodec, MuxNestingIsPossibleButBounded) {
-  // Nested envelopes decode fine (the shim never nests, but garbage
+  // Nested envelopes decode fine (the mux never nests, but garbage
   // might look nested); depth is naturally bounded by frame size.
   const Bytes raw{0xFF};
-  MuxMsg innermost;
-  innermost.register_id = 1;
-  innermost.inner = raw;
+  MuxBatchMsg innermost;
+  innermost.items = {MuxItem{1, raw}};
   const Bytes innermost_wire = EncodeMessage(Message(innermost));
-  MuxMsg outer;
-  outer.register_id = 2;
-  outer.inner = innermost_wire;
+  MuxBatchMsg outer;
+  outer.items = {MuxItem{2, innermost_wire}};
   auto decoded = DecodeMessage(EncodeMessage(Message(outer)));
   ASSERT_TRUE(decoded.ok());
 }
@@ -208,6 +190,14 @@ TEST(MessageCodec, EmptyFrameRejected) {
 TEST(MessageCodec, UnknownTagRejected) {
   Bytes frame{0xEE, 1, 2, 3};
   EXPECT_FALSE(DecodeMessage(frame).ok());
+  // Tag 60 carried the retired single-register mux envelope
+  // (register id, length-prefixed inner frame); that shape is now an
+  // unknown tag like any other.
+  BufWriter retired;
+  retired.Put<std::uint8_t>(60);
+  retired.Put<std::uint64_t>(7);
+  retired.PutBytes(EncodeMessage(Message(ReadMsg{.label = 1})));
+  EXPECT_FALSE(DecodeMessage(retired.Take()).ok());
 }
 
 TEST(MessageCodec, TruncatedFrameRejected) {
@@ -240,7 +230,6 @@ std::vector<Message> AllVariantSamples(Rng& rng,
   static const Value kVal5{5};
   static const Value kVal6{6};
   static const Value kVal9{9};
-  static const Bytes kMuxInner = EncodeMessage(Message(ReadMsg{.label = 9}));
   static const Bytes kBatchInnerA =
       EncodeMessage(Message(FlushMsg{4, OpScope::kWrite}));
   static const Bytes kBatchInnerB =
@@ -252,9 +241,6 @@ std::vector<Message> AllVariantSamples(Rng& rng,
   reply.ts = MakeTs(rng, system);
   reply.old_vals = {{kVal6, MakeTs(rng, system)}};
   reply.label = 11;
-  MuxMsg mux;
-  mux.register_id = 0x1122334455667788ull;
-  mux.inner = kMuxInner;
   MuxBatchMsg mux_batch;
   mux_batch.items = {MuxItem{1, kBatchInnerA}, MuxItem{2, kBatchInnerB}};
   NodeFlushMsg node_flush;
@@ -290,7 +276,6 @@ std::vector<Message> AllVariantSamples(Rng& rng,
       NqWriteAckMsg{15},
       NqReadMsg{16},
       NqReadReplyMsg{17, ts, kVal3},
-      mux,
       mux_batch,
       node_flush,
       node_flush_ack,

@@ -1,18 +1,16 @@
 // Pipelined client multiplexing: many logical clients, each its own
-// register behind the mux envelope, share one client node and one TCP
-// connection per server. Operations of different logical clients
-// interleave freely on the wire; each logical client must still see
-// ITS operations complete in issue order with read-your-writes.
-//
-// The batched variants run the same workloads with protocol-round
-// batching enabled (RegisterCluster::Options::batch_max_ops): frames of
-// many registers coalesce into shared MuxBatch rounds, and the recorded
-// history must still pass the per-key regular-register checker.
+// register behind the mux, share one client node and one TCP
+// connection per server. Frames of many registers coalesce into shared
+// MuxBatch rounds with one node-level FLUSH per window; each logical
+// client must still see ITS operations complete in issue order with
+// read-your-writes, and the recorded history must pass the per-key
+// regular-register checker.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -36,6 +34,7 @@ struct PipelineRun {
   std::vector<PerClient> state;
   int failures = 0;
   History history;  // every op, stamped with wall-clock microseconds
+  std::uint64_t node_flush_rounds = 0;  // read after the cluster stopped
 };
 
 // Drives `n_clients` logical clients, each running `pairs` write+read
@@ -123,13 +122,13 @@ PipelineRun RunPipelinedWorkload(RegisterCluster::Options options,
   }
   cluster.Stop();
   run.failures = failures.load();
+  run.node_flush_rounds = cluster.node_flush_rounds();
   return run;
 }
 
 // Read i follows write i with nothing in between on a single-writer
 // register, so it must return exactly value i — the per-client ordering
-// guarantee across the shared connection (and, batched, across shared
-// rounds).
+// guarantee across the shared connection and shared rounds.
 void ExpectPerClientOrdering(const PipelineRun& run, std::size_t n_clients,
                              int pairs) {
   EXPECT_EQ(run.failures, 0);
@@ -153,8 +152,8 @@ TEST(MuxPipeline, SixtyFourClientsPreservePerClientOrdering) {
   ExpectPerClientOrdering(run, 64, 5);
 }
 
-// The mailbox transport must give the identical guarantee (the mux
-// layer, not the socket, provides per-client ordering).
+// Synchronous ops, one at a time: each starts in its own mailbox drain,
+// a window of one.
 TEST(MuxPipeline, InprocMultiplexedClientsReadTheirWrites) {
   constexpr std::size_t kClients = 16;
   RegisterCluster::Options options;
@@ -175,85 +174,54 @@ TEST(MuxPipeline, InprocMultiplexedClientsReadTheirWrites) {
   cluster.Stop();
 }
 
-// ---- Protocol-round batching -----------------------------------------
-
 TEST(MuxPipeline, BatchedTcpClientsOrderedAndRegular) {
   RegisterCluster::Options options;
   options.config = ProtocolConfig::ForServers(6);
   options.use_tcp = true;
   options.multiplex = true;
-  options.batch_max_ops = 16;
-  options.batch_max_delay_us = 200;
   const PipelineRun run = RunPipelinedWorkload(std::move(options), 64, 5);
   ExpectPerClientOrdering(run, 64, 5);
   const CheckReport report = load::CheckRegularPerKey(run.history, {});
   EXPECT_TRUE(report.ok) << report.Summary();
 }
 
+// The mailbox transport must give the identical guarantee (the mux
+// layer, not the socket, provides per-client ordering).
 TEST(MuxPipeline, BatchedInprocClientsOrderedAndRegular) {
   RegisterCluster::Options options;
   options.config = ProtocolConfig::ForServers(6);
   options.multiplex = true;
-  options.batch_max_ops = 8;
-  options.batch_max_delay_us = 200;
   const PipelineRun run = RunPipelinedWorkload(std::move(options), 32, 4);
   ExpectPerClientOrdering(run, 32, 4);
   const CheckReport report = load::CheckRegularPerKey(run.history, {});
   EXPECT_TRUE(report.ok) << report.Summary();
 }
 
-// A lone synchronous op never fills the batch window: the max_delay
-// timer (ThreadCluster's per-node timer queue) must flush it. This
-// pins the timer path of the threaded runtime, not just the sim's.
-TEST(MuxPipeline, BatchedLoneOpsFlushedByRuntimeTimer) {
-  RegisterCluster::Options options;
-  options.config = ProtocolConfig::ForServers(6);
-  options.multiplex = true;
-  options.n_clients = 4;
-  options.batch_max_ops = 64;  // never reached by a lone op
-  options.batch_max_delay_us = 500;
-  RegisterCluster cluster(std::move(options));
-  ASSERT_TRUE(cluster.batched());
-  cluster.Start();
-  for (std::size_t c = 0; c < 4; ++c) {
-    ASSERT_EQ(cluster.Write(c, Val("solo" + std::to_string(c))).status,
-              OpStatus::kOk);
-  }
-  for (std::size_t c = 0; c < 4; ++c) {
-    auto read = cluster.Read(c);
-    ASSERT_EQ(read.status, OpStatus::kOk);
-    EXPECT_EQ(read.value, Val("solo" + std::to_string(c))) << c;
-  }
-  cluster.Stop();
-}
-
 // ---- Shared FLUSH rounds ---------------------------------------------
 
+// The pipelined workloads again, also demanding that their FLUSH phases
+// went out as node-level NodeFlush rounds on both transports.
 TEST(MuxPipeline, SharedFlushTcpClientsOrderedAndRegular) {
   RegisterCluster::Options options;
   options.config = ProtocolConfig::ForServers(6);
   options.use_tcp = true;
   options.multiplex = true;
-  options.batch_max_ops = 16;
-  options.batch_max_delay_us = 200;
-  options.shared_flush = true;
   const PipelineRun run = RunPipelinedWorkload(std::move(options), 64, 5);
   ExpectPerClientOrdering(run, 64, 5);
   const CheckReport report = load::CheckRegularPerKey(run.history, {});
   EXPECT_TRUE(report.ok) << report.Summary();
+  EXPECT_GE(run.node_flush_rounds, 1u);
 }
 
 TEST(MuxPipeline, SharedFlushInprocClientsOrderedAndRegular) {
   RegisterCluster::Options options;
   options.config = ProtocolConfig::ForServers(6);
   options.multiplex = true;
-  options.batch_max_ops = 8;
-  options.batch_max_delay_us = 200;
-  options.shared_flush = true;
   const PipelineRun run = RunPipelinedWorkload(std::move(options), 32, 4);
   ExpectPerClientOrdering(run, 32, 4);
   const CheckReport report = load::CheckRegularPerKey(run.history, {});
   EXPECT_TRUE(report.ok) << report.Summary();
+  EXPECT_GE(run.node_flush_rounds, 1u);
 }
 
 // Amortization on the threaded runtime: 32 clients x 4 pairs = 256 ops
@@ -265,11 +233,7 @@ TEST(MuxPipeline, SharedFlushAmortizesNodeFlushRounds) {
   options.config = ProtocolConfig::ForServers(6);
   options.multiplex = true;
   options.n_clients = 32;
-  options.batch_max_ops = 16;
-  options.batch_max_delay_us = 200;
-  options.shared_flush = true;
   RegisterCluster cluster(std::move(options));
-  ASSERT_TRUE(cluster.shared_flush());
   cluster.Start();
   std::atomic<int> remaining{32};
   std::mutex mutex;
@@ -297,8 +261,8 @@ TEST(MuxPipeline, SharedFlushAmortizesNodeFlushRounds) {
   cluster.Stop();
   const std::uint64_t rounds = cluster.node_flush_rounds();
   EXPECT_GE(rounds, 1u);
-  // 256 ops; windows of up to 16 registers. Allow generous slack for
-  // ragged windows — the point is the order of magnitude.
+  // 256 ops; each window spans one mailbox drain. Allow generous slack
+  // for ragged windows — the point is the order of magnitude.
   EXPECT_LT(rounds, 200u) << "shared flush did not amortize";
   EXPECT_GT(cluster.cluster().protocol_cpu_ns(), 0u);
 }

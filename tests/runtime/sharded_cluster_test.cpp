@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -36,9 +37,6 @@ ShardedCluster::Options BaseOptions(std::size_t n_groups, bool use_tcp,
   options.group.use_tcp = use_tcp;
   options.group.multiplex = true;
   options.group.n_clients = n_keys;
-  options.group.batch_max_ops = 8;
-  options.group.batch_max_delay_us = 200;
-  options.group.shared_flush = true;
   options.n_groups = n_groups;
   return options;
 }
@@ -247,30 +245,37 @@ TEST(ShardedCluster, LiveGroupAddKeepsHistoryRegular) {
 
   // AddGroup blocks on the new group's startup, so it must not run on
   // a node thread (where on_progress fires): a side thread waits for
-  // the halfway signal.
+  // the halfway signal. Completions past the halfway mark hold their
+  // follow-up ops until AddGroup has started, so the side thread can
+  // never wake to a finished workload: AddGroup always starts with the
+  // second half of the traffic still to run.
   constexpr int kHalfway = static_cast<int>(kKeys) * kPairs;  // of 2x
   std::mutex mutex;
   std::condition_variable cv;
   int completed = 0;
+  bool add_started = false;
   bool stop = false;
   std::thread adder([&] {
     std::unique_lock<std::mutex> lock(mutex);
     cv.wait(lock, [&] { return stop || completed >= kHalfway; });
     if (stop) return;
+    add_started = true;
+    cv.notify_all();
     lock.unlock();
     cluster.AddGroup();
   });
 
   const ShardedRun run =
       RunShardedWorkload(cluster, kKeys, kPairs, [&](int done) {
-        std::lock_guard<std::mutex> lock(mutex);
-        completed = done;
-        cv.notify_one();
+        std::unique_lock<std::mutex> lock(mutex);
+        completed = std::max(completed, done);
+        cv.notify_all();
+        cv.wait(lock, [&] { return done < kHalfway || add_started; });
       });
   {
     std::lock_guard<std::mutex> lock(mutex);
     stop = true;
-    cv.notify_one();
+    cv.notify_all();
   }
   adder.join();
 

@@ -13,8 +13,9 @@ any metric that regressed by more than ``--threshold`` (default 25%).
 Metrics come in two classes:
 
 * **count-like** (allocs, bytes, frames per op, failed/stalled ops,
-  completed_frac): deterministic properties of the code, comparable
-  across machines. A regression here gates (exit 1).
+  completed_frac, the per-key checker's ``regular_violations`` that
+  every bench_throughput arm reports): deterministic properties of the
+  code, comparable across machines. A regression here gates (exit 1).
 * **rate-like** (ops/s, runs/s, p99 latency, speedups): functions of
   the machine the bench ran on. A CI runner is not the machine the
   committed baseline was recorded on, so by default these are reported
@@ -30,9 +31,9 @@ describe a cluster shedding load and should not be read as a
 steady-state measurement.
 
 Metrics present only in the fresh run (a bench grew new points, e.g. a
-``batched.*`` sweep) are listed in a ``new metrics`` section and never
-gated: their fresh values are exactly what the next committed baseline
-should record. Sharded arms are namespaced by group count — a leading
+``--clients`` sweep value) are listed in a ``new metrics`` section and
+never gated: their fresh values are exactly what the next committed
+baseline should record. Sharded arms are namespaced by group count — a leading
 ``g<G>.`` component (``g4.tcp.n16.c256.ops_per_sec``) — and the new-
 metrics section aggregates each such family to one summary line, so a
 whole new G-sweep reads as one unit instead of tripping per-metric
@@ -212,7 +213,7 @@ def main() -> int:
             print(f"  - {name}: {value:g}")
 
     if new_metrics:
-        # A bench grew new measurement points (e.g. a batched.* sweep).
+        # A bench grew new measurement points (e.g. a new sweep value).
         # Nothing to compare them against yet, so they are informational:
         # their fresh values are the baseline entries the next committed
         # BENCH_*.json should carry. Never gated — a brand-new metric
