@@ -77,7 +77,7 @@ class SmallVector {
     if (n <= capacity_) return;
     // The one legitimate raw allocation: this IS the spill allocator
     // everything else is told to use.
-    T* heap = new T[n];  // sbft-lint: allow(raw-alloc)
+    T* heap = new T[n];  // sbft-analyze: allow(raw-alloc)
     std::copy(data_, data_ + size_, heap);
     if (OnHeap()) delete[] data_;
     data_ = heap;

@@ -55,6 +55,15 @@ void TouchLru(
   }
 }
 
+/// A mux table's register ids in ascending order. Each table's LRU list
+/// holds exactly its keys, so walking this instead of the hash table
+/// keeps bucket order out of whatever the walk feeds.
+std::vector<RegisterId> AscendingIds(const std::list<RegisterId>& lru) {
+  std::vector<RegisterId> ids(lru.begin(), lru.end());
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 /// The mux client's one timer: the batch window's max-delay bound.
 /// No inner automaton uses timers, so the id only has to be stable.
 constexpr int kMuxBatchTimerId = 7001;
@@ -178,9 +187,9 @@ void MuxServer::CorruptState(Rng& rng) {
   // ANSWERS reads (exercising the violation window) instead of
   // aborting them.
   const std::uint64_t base = rng();
-  for (auto& [id, server] : registers_) {
+  for (const RegisterId id : AscendingIds(lru_)) {
     Rng fork(base ^ (id * 0x9E3779B97F4A7C15ull));
-    server->CorruptState(fork);
+    registers_.at(id)->CorruptState(fork);
   }
 }
 
@@ -477,12 +486,17 @@ bool MuxClient::idle(RegisterId id) {
 
 void MuxClient::CorruptState(Rng& rng) {
   // One base draw, then a per-register fork keyed by the register id
-  // (same scheme as MuxServer::CorruptState): the garbage each inner
-  // client receives is independent of the hash table's iteration order.
+  // (same scheme as MuxServer::CorruptState). The walk order is still
+  // observable: each inner CorruptState fires its in-flight op's kFailed
+  // callback, and callers draw from their own rng in those callbacks.
   const std::uint64_t base = rng();
-  for (auto& [id, entry] : clients_) {
+  for (const RegisterId id : AscendingIds(lru_)) {
+    // A callback may start an op outside any scope, whose round can
+    // evict an idle client before the walk reaches it.
+    auto it = clients_.find(id);
+    if (it == clients_.end()) continue;
     Rng fork(base ^ (id * 0x9E3779B97F4A7C15ull));
-    entry.client->CorruptState(fork);
+    it->second.client->CorruptState(fork);
   }
   // The ops whose flush requests were waiting in the open window were
   // just destroyed (inner CorruptState fails in-flight ops); drop the

@@ -115,9 +115,9 @@ class MuxServer : public Automaton {
   std::size_t max_registers_;
   ServerFactory factory_;
   /// Hash tables, not ordered maps: the per-item dispatch loop does one
-  /// find per batch element (dozens per op at high concurrency), and
-  /// nothing iterates these in a way that observes order (CorruptState
-  /// forks the rng per register id, so corruption is order-independent).
+  /// find per batch element (dozens per op at high concurrency). Nothing
+  /// iterates them; a walk over every register (CorruptState) goes in
+  /// ascending id order through a sorted copy of lru_.
   std::unordered_map<RegisterId, std::unique_ptr<RegisterServer>> registers_;
   std::list<RegisterId> lru_;  // front = most recent
   /// Position of each id inside lru_, so a touch is an O(1) splice
@@ -234,7 +234,8 @@ class MuxClient : public Automaton {
   MuxBatchOptions batch_;
   IEndpoint* endpoint_ = nullptr;
   /// Hash tables for the same reason as MuxServer: reply dispatch and
-  /// node-flush-ack distribution do one find per item.
+  /// node-flush-ack distribution do one find per item. The same
+  /// ascending-id rule holds for walks.
   std::unordered_map<RegisterId, Entry> clients_;
   std::list<RegisterId> lru_;
   std::unordered_map<RegisterId, std::list<RegisterId>::iterator> lru_pos_;

@@ -136,9 +136,10 @@ struct MuxDriver : std::enable_shared_from_this<MuxDriver> {
 
   void LaunchNext(std::size_t c) {
     if (remaining[c] == 0) return;
-    // A corrupted mux client destroys in-flight ops without running
-    // their callbacks; a non-idle register here means exactly that
-    // (this loop never overlaps its own ops), so the lane stops like
+    // A corrupted mux client fails every in-flight op through its
+    // callback (in ascending register order, so ScheduleNext's rng
+    // draws replay), and this loop never overlaps its own ops, so the
+    // register should be idle here. If it is not, the lane stops like
     // the plain driver's.
     if (!client.idle(MuxRegisterOf(c))) return;
     remaining[c]--;

@@ -167,6 +167,25 @@ TEST(Mux, TransientCorruptionHealsPerRegister) {
   }
 }
 
+TEST(Mux, CorruptClientFailsInFlightOpsInRegisterOrder) {
+  // Each in-flight op's kFailed callback runs inside CorruptState, and a
+  // caller that draws from an rng per callback (the fuzz MuxDriver's
+  // think time) replays only if that order is fixed: ascending register
+  // id, never the hash table's bucket order.
+  MuxRig rig(8);
+  std::vector<RegisterId> failed;
+  for (const RegisterId id : {7, 3, 12, 1, 9, 30, 5, 200}) {
+    rig.client->StartWrite(id, Val("v"),
+                           [&failed, id](const WriteOutcome& out) {
+                             EXPECT_EQ(out.status, OpStatus::kFailed);
+                             failed.push_back(id);
+                           });
+  }
+  ASSERT_FALSE(rig.client->idle(200));
+  rig.world->CorruptNode(rig.client_id);
+  EXPECT_EQ(failed, (std::vector<RegisterId>{1, 3, 5, 7, 9, 12, 30, 200}));
+}
+
 TEST(Mux, BareFramesIgnored) {
   MuxRig rig(7);
   // Un-wrapped protocol frames and garbage at a mux server: dropped.

@@ -1,9 +1,9 @@
-// Fixture: clock value seeding state in the deterministic zone. The
-// token-level rule cannot tell this apart from harmless elapsed-time
+// Fixture: clock value seeding state in the deterministic zone. A
+// token match cannot tell this apart from harmless elapsed-time
 // reporting; the flow-aware check must: the steady_clock read flows
 // into Seed() (state) and into a member (state), not into
 // count()/comparison (reporting). Expected: exactly one check trips —
-// wall-clock-flow.
+// wall-clock.
 
 #include <chrono>
 #include <cstdint>

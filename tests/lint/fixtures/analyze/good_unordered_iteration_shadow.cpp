@@ -1,8 +1,7 @@
 // Fixture: a local std::vector SHADOWS an unordered member of the same
-// name, and the range-for iterates the local. The token-level linter
-// (name matching only) false-positives here; the scope-aware AST walk
-// must resolve `events_` to the innermost declaration and stay quiet.
-// Expected: clean.
+// name, and the range-for iterates the local. Name matching alone
+// false-positives here; the scope-aware walk must resolve `events_` to
+// the innermost declaration and stay quiet. Expected: clean.
 
 #include <cstdint>
 #include <unordered_map>

@@ -1,7 +1,7 @@
 // Fixture: reporting-only clock use (the src/fuzz/campaign.cpp
-// pattern that used to need a whole-file sbft_lint allowlist entry).
-// The clock feeds elapsed/budget arithmetic, count() and comparisons —
-// never a call that could seed scenario state. Expected: clean.
+// pattern). The clock feeds elapsed/budget arithmetic, count() and a
+// returned comparison — never a call that could seed scenario state.
+// Expected: clean.
 
 #include <chrono>
 #include <cstdint>

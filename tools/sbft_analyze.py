@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Whole-program concurrency & lifetime analyzer for the sbft runtime.
+"""Repo-aware static analyser: determinism, concurrency and hot-path rules.
 
-Where tools/sbft_lint.py matches tokens line-by-line, this tool builds
-a structural model of the whole program — scopes, classes, members,
-functions, lambdas, lock sites, call edges — and runs interprocedural
-checks over it:
+Generic linters cannot know that src/sim must be bit-deterministic, that
+a node thread must never block or that frame buffers come from a pool.
+This tool builds a structural model of the whole program — scopes,
+classes, members, functions, lambdas, lock sites, call edges — and runs
+these checks over it, each within its zone of the tree:
 
   lock-order           Extracts the mutex acquisition graph (which lock
                        families are taken while which are held, across
@@ -40,23 +41,28 @@ checks over it:
                        is persisting a view past the frame pool's reuse
                        point, which member stores and deferred captures
                        are exactly.
-  wall-clock-flow      Flow-aware port of sbft_lint's wall-clock rule
-                       for the deterministic zone: reading a clock is
-                       fine when the value only feeds operator-facing
-                       reporting (elapsed/budget arithmetic, count(),
-                       comparisons); it is flagged when a tainted value
-                       seeds state (passed to a non-reporting call,
-                       assigned to a member). This replaces the
-                       file-wide allowlist entry sbft_lint needed for
-                       src/fuzz/campaign.cpp.
-  unordered-iteration  Scope-aware port of sbft_lint's rule: iteration
-                       over std::unordered_* is resolved against the
-                       innermost declaration (locals shadow members), so
-                       a local std::vector named like an unordered
-                       member no longer trips the check.
-  nondet-random        Token ports of the remaining deterministic-zone
-  thread-id            rules, applied inside the structural walk so one
-  address-as-value     tool can be the single gate for fixture snippets.
+  wall-clock           Simulated time comes from the World, never the
+                       host. The C time APIs (time, gettimeofday,
+                       clock_gettime) are flagged on sight. A std::chrono
+                       clock read is fine while its value only feeds
+                       operator-facing reporting (elapsed/budget
+                       arithmetic, count(), comparisons); it is flagged
+                       when the value seeds state: passed to a
+                       non-reporting call, assigned to a member, or
+                       returned other than as a comparison.
+  unordered-iteration  Range-for (structured bindings included) or
+                       begin() over a std::unordered_* container, resolved
+                       against the innermost declaration (locals shadow
+                       members): bucket order must not reach traces,
+                       verdicts or serialized output.
+  nondet-random        Host entropy (random_device, rand, random): all
+                       randomness flows from the seeded sbft::Rng.
+  thread-id            Thread identity (this_thread::get_id,
+                       pthread_self), which varies run to run.
+  address-as-value     Pointers cast to integers or hashed: ASLR makes
+                       them differ every run.
+  raw-alloc            Raw new/malloc/calloc in the hot-path files, which
+                       draw from FramePool/SmallVector/reused capacity.
 
 Escape hatches:
   * inline: `// sbft-analyze: allow(<check>)` on the line or the line
@@ -90,8 +96,10 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-# --- Repo layout (kept in sync with tools/sbft_lint.py) --------------------
+# --- Repo layout -----------------------------------------------------------
 
+# Code that must be bit-deterministic: the simulator, the protocol
+# automata, labels, baselines and fuzz replay.
 DETERMINISTIC_ZONE = (
     "src/sim",
     "src/core",
@@ -99,10 +107,32 @@ DETERMINISTIC_ZONE = (
     "src/baselines",
     "src/fuzz",
 )
+# Plus the checker (verdicts) and the codec (serialized output).
 TRACE_ZONE = DETERMINISTIC_ZONE + ("src/spec", "src/net")
 # Threaded surface: where the lock-order / reactor-blocking /
 # frame-escape families apply.
 CONCURRENCY_ZONE = ("src/runtime", "src/core", "src/net", "src/load")
+# Files on a measured hot path, whose allocations come from FramePool /
+# SmallVector / reused capacity instead of raw new/malloc.
+HOT_PATH_FILES = (
+    "src/common/buffer_pool.hpp",
+    "src/common/frame.hpp",
+    "src/common/serialize.hpp",
+    "src/common/small_vector.hpp",
+    "src/net/message.cpp",
+    "src/net/message.hpp",
+    "src/core/mux.cpp",
+    "src/core/mux.hpp",
+    "src/core/mux_flush.cpp",
+    "src/core/mux_flush.hpp",
+    "src/core/shard_map.cpp",
+    "src/core/shard_map.hpp",
+    "src/sim/event_queue.hpp",
+    "src/runtime/mailbox.hpp",
+    "src/runtime/sharded_cluster.cpp",
+    "src/runtime/sharded_cluster.hpp",
+    "src/runtime/tcp.cpp",
+)
 
 SUPPRESS_FILE = os.path.join("tools", "sbft_analyze_suppress.txt")
 ANNOTATION_HEADER = os.path.join("src", "common", "thread_annotations.hpp")
@@ -115,8 +145,9 @@ CHECKS = {
                         "sockets)",
     "frame-escape": "borrowed frame payload (BytesView/span) escapes its "
                     "drain scope (member store or deferred capture)",
-    "wall-clock-flow": "clock value flows into state in the deterministic "
-                       "zone (reporting-only uses are fine)",
+    "wall-clock": "host time read in the deterministic zone (C time API, "
+                  "or a clock value that seeds state; reporting-only "
+                  "uses are fine)",
     "unordered-iteration": "iteration over an unordered container feeding "
                            "traces/verdicts/output (scope-resolved)",
     "nondet-random": "non-seeded randomness in the deterministic zone "
@@ -124,6 +155,8 @@ CHECKS = {
     "thread-id": "thread identity in the deterministic zone",
     "address-as-value": "pointer value used as data in the deterministic "
                         "zone (ASLR breaks replay)",
+    "raw-alloc": "raw allocation in a hot-path file (use FramePool/"
+                 "SmallVector/reuse)",
 }
 
 ALLOW_RE = re.compile(
@@ -153,7 +186,7 @@ VIEW_TYPE_RE = re.compile(r"\bBytesView\b|\bstd::span\s*<|\bstring_view\b")
 UNORDERED_TYPE_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\b")
 MUTEX_TYPE_RE = re.compile(r"(?<!std::)\bMutex\b")
 
-# Deterministic-zone token ports (same patterns as sbft_lint.py).
+# Checks that match tokens, not structure.
 TOKEN_CHECKS = [
     ("nondet-random", re.compile(
         r"std::random_device|\brandom_device\b"
@@ -162,11 +195,19 @@ TOKEN_CHECKS = [
     ("address-as-value", re.compile(
         r"reinterpret_cast<\s*(std::)?u?intptr_t\s*>"
         r"|std::hash<[^>\n]*\*\s*>")),
+    ("wall-clock", re.compile(
+        r"\bgettimeofday\s*\(|\bclock_gettime\s*\("
+        r"|\btime\s*\(\s*(NULL|nullptr|0)?\s*\)")),
+    ("raw-alloc", re.compile(
+        r"(?<![:\w.])\bnew\b(?!\s*\()|\b(m|c)alloc\s*\(")),
 ]
 
 CLOCK_NOW_RE = re.compile(
     r"\b(?:steady_clock|system_clock|high_resolution_clock|Clock)\s*::\s*"
     r"now\s*\(")
+# Top-level comparison operators (templates are written without spaces
+# around their angle brackets, comparisons with them).
+COMPARISON_RE = re.compile(r"[<>!=]=|\s[<>]\s")
 # Receiver-position methods on a tainted value that only *report* time.
 CLOCK_SINKS = ("count", "time_since_epoch", "duration_cast", "now",
                "min", "max", "abs", "wait_for", "wait_until", "WaitFor")
@@ -201,10 +242,10 @@ class Finding:
 
 def blank_comments_and_strings(text: str) -> str:
     """Replace comment/string contents with spaces, preserving newlines
-    and column positions (same contract as sbft_lint.py, plus digit-
-    separator awareness: a ' preceded by an identifier character is a
-    C++14 digit separator like 1'000'000, not a char-literal open —
-    treating it as a quote desyncs every brace after it)."""
+    and column positions so findings report real locations. A ' preceded
+    by an identifier character is a C++14 digit separator like
+    1'000'000, not a char-literal open — treating it as a quote desyncs
+    every brace after it."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -522,6 +563,11 @@ DECL_RE = re.compile(
 MAKE_RE = re.compile(r"\bmake_(?:unique|shared)\s*<\s*([\w:]+)")
 ANCHOR_RE = re.compile(
     r"inline\s+Mutex\s+(k\w+)\s*;\s*//\s*anchor-for:\s*([\w:]+)")
+# Range-for head. strip_subscripts turns a structured binding
+# `auto& [k, v] : m` into `auto&        : m`, so `&` may stand in for the
+# loop variable.
+RANGE_FOR_RE = re.compile(
+    r"for\s*\(([^;()]*?)([A-Za-z_]\w*|&)\s*:\s*([^);]+)\)")
 INSERT_METHODS = ("push_back", "emplace_back", "push", "push_front",
                   "insert", "emplace", "assign")
 
@@ -835,8 +881,7 @@ def extract_function(program: Program, scope: Scope, text: str, path: str,
     # Range-for variables: typed as the element of the iterated chain
     # (resolved lazily — "$elem:" marker) so `MutexLock l(loop.mutex)`
     # over `for (auto& loop : loops_)` still lands in a family.
-    for m in re.finditer(
-            r"for\s*\(([^;()]*?)([A-Za-z_]\w*)\s*:\s*([^);]+)\)", body):
+    for m in RANGE_FOR_RE.finditer(body):
         fn.locals.append((scope.start + m.start(2), m.group(2),
                           "$elem:" + m.group(3).strip()))
 
@@ -853,11 +898,12 @@ def extract_function(program: Program, scope: Scope, text: str, path: str,
                 typ = (mk.group(1) + "*") if mk else "auto"
             fn.locals.append((scope.start + off + stmt.find(dm.group(2)),
                               dm.group(2), typ))
-        # Assignments / container inserts (frame-escape, wall-clock-flow).
+        # Assignments / container inserts (frame-escape, wall-clock).
         am = re.match(r"^([\w.\->\[\]]+?)\s*=\s*([^=].*)$", s, re.S)
         if am and not dm:
+            pos = scope.start + off + len(stmt) - len(stmt.lstrip())
             fn.assign_events.append(AssignEvent(
-                scope.start + off, lineno_of(line_starts, scope.start + off),
+                pos, lineno_of(line_starts, pos),
                 am.group(1).strip(), "=", am.group(2).strip()))
 
     for m in re.finditer(
@@ -1225,11 +1271,12 @@ class Resolver:
 # Zone each check's findings apply to in tree mode (None = whole tree).
 ZONE_OF_CHECK = {
     "frame-escape": CONCURRENCY_ZONE,
-    "wall-clock-flow": DETERMINISTIC_ZONE,
+    "wall-clock": DETERMINISTIC_ZONE,
     "nondet-random": DETERMINISTIC_ZONE,
     "thread-id": DETERMINISTIC_ZONE,
     "address-as-value": DETERMINISTIC_ZONE,
     "unordered-iteration": TRACE_ZONE,
+    "raw-alloc": HOT_PATH_FILES,
 }
 
 
@@ -1537,41 +1584,37 @@ def captured_views(lam: FunctionInfo):
     return out
 
 
-# -- wall-clock-flow --------------------------------------------------------
+# -- wall-clock -------------------------------------------------------------
 
 
-def check_wall_clock_flow(program: Program, resolver: Resolver):
+def check_wall_clock(program: Program, resolver: Resolver):
     findings = []
 
     def scan(fn: FunctionInfo, inherited):
         tainted = set(inherited)
+
+        def source(text):
+            if CLOCK_NOW_RE.search(text):
+                return "a clock read"
+            for t in sorted(tainted):
+                if re.search(r"\b%s\b" % re.escape(t), text):
+                    return f"clock-derived value '{t}'"
+            return None
+
         stmts = list(split_statements(fn.body_text, 0))
         for _ in range(2):  # two passes: forward refs via loops are rare
             for _off, stmt in stmts:
                 s = stmt.strip()
                 dm = DECL_RE.match(s)
-                if not dm:
-                    continue
-                name = dm.group(2)
-                rest = s[s.find(name) + len(name):]
-                if CLOCK_NOW_RE.search(rest) or any(
-                        re.search(r"\b%s\b" % re.escape(t), rest)
-                        for t in tainted):
-                    tainted.add(name)
+                if dm and source(s[s.find(dm.group(2)) + len(dm.group(2)):]):
+                    tainted.add(dm.group(2))
         for c in sorted(fn.call_events, key=lambda c: c.pos):
             if c.name in CLOCK_SINKS or c.name in CONTROL_WORDS:
                 continue
-            hit = None
-            if CLOCK_NOW_RE.search(c.args):
-                hit = "a clock read"
-            else:
-                for t in sorted(tainted):
-                    if re.search(r"\b%s\b" % re.escape(t), c.args):
-                        hit = f"clock-derived value '{t}'"
-                        break
+            hit = source(c.args)
             if hit:
                 findings.append(Finding(
-                    fn.path, c.line, "wall-clock-flow",
+                    fn.path, c.line, "wall-clock",
                     f"{hit} flows into {c.name}() in the deterministic "
                     f"zone; clock values may only feed reporting "
                     f"(count/comparison/duration_cast)"))
@@ -1582,16 +1625,27 @@ def check_wall_clock_flow(program: Program, resolver: Resolver):
             is_member = root == "this" or (
                 not binds_to_local(fn, root)
                 and member_of_owner(resolver, fn, root))
-            if not is_member:
-                continue
-            if CLOCK_NOW_RE.search(ev.rhs) or any(
-                    re.search(r"\b%s\b" % re.escape(t), ev.rhs)
-                    for t in sorted(tainted)):
+            if is_member and source(ev.rhs):
                 findings.append(Finding(
-                    fn.path, ev.line, "wall-clock-flow",
+                    fn.path, ev.line, "wall-clock",
                     f"clock-derived value assigned to member '{ev.lhs}' "
                     f"in the deterministic zone; wall time must not seed "
                     f"state"))
+        # A returned clock value reaches the caller as data; a returned
+        # comparison (a budget check) is reporting.
+        line_starts = program.files[fn.path][2]
+        for off, stmt in stmts:
+            m = re.search(r"\breturn\b(.*)", stmt, re.S)
+            if not m or COMPARISON_RE.search(m.group(1)):
+                continue
+            hit = source(m.group(1))
+            if hit:
+                findings.append(Finding(
+                    fn.path, lineno_of(line_starts, fn.body_base + off
+                                       + m.start()), "wall-clock",
+                    f"{hit} returned from {fn.qname} in the deterministic "
+                    f"zone; only a comparison on it may leave the "
+                    f"function"))
         for lam in fn.lambdas:
             scan(lam, tainted)
 
@@ -1610,8 +1664,7 @@ def check_unordered_iteration(program: Program, resolver: Resolver):
         _raw, _blanked, line_starts = program.files[fn.path]
         body = fn.body_text
         sites = []
-        for m in re.finditer(
-                r"for\s*\(([^;()]*?)([A-Za-z_]\w*)\s*:\s*([^);]+)\)", body):
+        for m in RANGE_FOR_RE.finditer(body):
             sites.append((m.start(3), m.group(3).strip(), "range-for over"))
         for c in fn.call_events:
             if c.name in ("begin", "cbegin") and c.receiver:
@@ -1743,7 +1796,7 @@ def run_checks(program: Program, fixture: bool = False):
     findings += check_lock_order(program, resolver)
     findings += check_reactor_blocking(program, resolver)
     findings += check_frame_escape(program, resolver)
-    findings += check_wall_clock_flow(program, resolver)
+    findings += check_wall_clock(program, resolver)
     findings += check_unordered_iteration(program, resolver)
     findings += check_tokens(program)
     if not fixture:
@@ -1822,7 +1875,7 @@ def check_fixture(repo_root: str, path: str) -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
-        description="whole-program concurrency & lifetime analyzer")
+        description=__doc__.splitlines()[0])
     ap.add_argument("paths", nargs="*",
                     help="files or directories (default: <repo-root>/src)")
     ap.add_argument("--repo-root", default=".")
