@@ -198,7 +198,6 @@ Numbers RunShardedArm(std::uint32_t n, std::size_t groups,
   ShardedCluster::Options options;
   options.group.config = ProtocolConfig::ForServers(n);
   options.group.use_tcp = use_tcp;
-  options.group.multiplex = true;
   options.group.n_clients = n_clients;
   options.n_groups = migrate ? 1 : groups;
   ShardedCluster cluster(options);

@@ -9,17 +9,16 @@
 #include <string>
 #include <vector>
 
-#include "runtime/register_cluster.hpp"
+#include "runtime/sharded_cluster.hpp"
 
 using namespace sbft;
 
 int main() {
-  RegisterCluster::Options options;
-  options.config = ProtocolConfig::ForServers(6);
-  options.use_tcp = true;
-  options.n_clients = 1;
-  options.byzantine[1] = ByzantineStrategy::kStaleReplay;
-  RegisterCluster cluster(std::move(options));
+  ShardedCluster::Options options;
+  options.group.config = ProtocolConfig::ForServers(6);
+  options.group.use_tcp = true;
+  options.group.byzantine[1] = ByzantineStrategy::kStaleReplay;
+  ShardedCluster cluster(options);
   cluster.Start();
   std::printf("cluster up: 6 register servers + 1 client over TCP "
               "loopback (server 1 is Byzantine)\n");

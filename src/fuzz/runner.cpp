@@ -54,7 +54,8 @@ void ApplyFault(World& world, Deployment& deployment,
 // ---- Mux / shared-FLUSH scenarios ------------------------------------
 
 /// Register hosting logical client `c` (offset mirrors the runtime's
-/// RegisterCluster: register 0 stays free).
+/// ShardedCluster, which hosts key k as register k + 1: register 0
+/// stays free).
 RegisterId MuxRegisterOf(std::size_t client) { return client + 1; }
 
 /// Per-key regularity: each logical client owns its own register, so

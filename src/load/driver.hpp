@@ -12,7 +12,7 @@
 // coordinated-omission-free measurement (docs/LOAD_TESTING.md).
 //
 // The driver also injects the scenario's transient corruptions
-// mid-run (RegisterCluster::CorruptServer) and hands back a History
+// mid-run (ShardedCluster::CorruptServer) and hands back a History
 // whose timestamps feed CheckRegular / MeasureStabilization, making
 // "time to stabilize under traffic" a measurable quantity.
 #pragma once

@@ -53,20 +53,13 @@ Value ValueFor(const ScheduledOp& op) {
   return Value(text.begin(), text.end());
 }
 
-RegisterCluster::Options ClusterOptionsFor(const Scenario& scenario) {
-  RegisterCluster::Options options;
-  options.config = ProtocolConfig::ForServers(scenario.n_servers);
-  options.use_tcp = scenario.use_tcp;
-  options.multiplex = true;
-  options.n_clients = scenario.n_keys;
-  options.seed = scenario.seed;
-  options.shaping = scenario.shaping;
-  return options;
-}
-
 ShardedCluster::Options ShardedOptionsFor(const Scenario& scenario) {
   ShardedCluster::Options options;
-  options.group = ClusterOptionsFor(scenario);
+  options.group.config = ProtocolConfig::ForServers(scenario.n_servers);
+  options.group.use_tcp = scenario.use_tcp;
+  options.group.n_clients = scenario.n_keys;
+  options.group.seed = scenario.seed;
+  options.group.shaping = scenario.shaping;
   options.n_groups = scenario.n_groups;
   return options;
 }

@@ -36,8 +36,8 @@ struct Scenario {
   std::string name = "baseline";
   std::uint32_t n_servers = 6;
   bool use_tcp = false;
-  /// Logical keys == mux registers == logical clients of the
-  /// RegisterCluster (key k maps to logical client k).
+  /// Logical keys; each is its own mux register of the deployment
+  /// (ShardedCluster maps key k to register k + 1 of its group).
   std::size_t n_keys = 32;
   /// Zipf skew over keys; 0 = uniform, ~1 = classic hot-key contention.
   double zipf_skew = 0.0;
@@ -88,14 +88,9 @@ struct ScheduledOp {
 /// sequence): what the checker uses to identify writes.
 [[nodiscard]] Value ValueFor(const ScheduledOp& op);
 
-/// Per-group cluster options matching a scenario (topology, transport,
-/// shaping).
-[[nodiscard]] RegisterCluster::Options ClusterOptionsFor(
-    const Scenario& scenario);
-
-/// Sharded-deployment options: `n_groups` groups, each built from
-/// ClusterOptionsFor (the driver always runs the sharded front-end;
-/// n_groups = 1 degenerates to the classic deployment).
+/// Deployment options matching a scenario: `n_groups` groups of
+/// `n_servers` servers serving `n_keys` keys, with its transport,
+/// shaping and seed (n_groups = 1 is the single-group deployment).
 [[nodiscard]] ShardedCluster::Options ShardedOptionsFor(
     const Scenario& scenario);
 

@@ -237,7 +237,7 @@ void ThreadCluster::NodeLoop(NodeId id) {
     // Tasks that this wakeup's callbacks post to their own node (the
     // follow-up ops of a closed loop) stay queued for the next wakeup:
     // the mailbox is the op accumulator the shared-FLUSH window relies
-    // on (RegisterCluster::AsyncWrite).
+    // on (ShardedCluster::AsyncWrite).
     if (!mailbox.Drain(batch)) break;
     if (tcp_) tcp_->Deliver(id, on_frame);
     for (auto& item : batch) {

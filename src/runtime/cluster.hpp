@@ -10,7 +10,7 @@
 // node's sockets or automaton, so handlers stay single-threaded
 // exactly as in the simulator (no locks inside protocol code). Client
 // operations are injected as tasks onto the owning node's thread via
-// PostToNode/RunOnNode, and synchronous wrappers (RegisterCluster::
+// PostToNode/RunOnNode, and synchronous wrappers (ShardedCluster::
 // Write/Read) wait on a future.
 #pragma once
 
@@ -69,13 +69,6 @@ class ThreadCluster {
   /// Fire-and-forget variant (no join); used by completion callbacks.
   void PostToNode(NodeId id, std::function<void()> fn);
 
-  /// True when the calling thread IS node `id`'s thread (i.e. we are
-  /// inside its NodeLoop — a handler, task, or completion callback).
-  /// Callers may then touch the node's automaton directly instead of
-  /// posting: it is the same exclusive context a mailbox task would
-  /// run in, minus the allocation and mutex round-trip.
-  [[nodiscard]] bool OnNodeThread(NodeId id) const;
-
   /// Chaos hook (TCP only): drop the (src, dst) connection as if the
   /// peer reset it. Safe from any thread: the drop is posted to src,
   /// whose thread owns the socket. The next send reconnects.
@@ -99,6 +92,10 @@ class ThreadCluster {
  private:
   class Endpoint;
 
+  /// True when the calling thread IS node `id`'s thread (inside its
+  /// NodeLoop: a handler, task or completion callback). RunOnNode
+  /// asserts it is false, since the task could never run.
+  [[nodiscard]] bool OnNodeThread(NodeId id) const;
   void NodeLoop(NodeId id);
   void Deliver(NodeId src, NodeId dst, Bytes frame);
   void DeliverBroadcast(NodeId src, std::span<const NodeId> dsts, Bytes frame);

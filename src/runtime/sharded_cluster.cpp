@@ -1,68 +1,102 @@
 #include "runtime/sharded_cluster.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <future>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace sbft {
+namespace {
 
-RegisterCluster::Options ShardedCluster::GroupOptions(
-    const Options& options, std::size_t group_index) {
-  RegisterCluster::Options group = options.group;
-  // Fork the seed so groups draw independent randomness (ports, rng
-  // streams) while the deployment stays reproducible from one seed.
-  group.seed = options.group.seed * 8191 + group_index;
-  return group;
+/// Register hosting `key` in its group's mux. Offset by one so no key
+/// lands on register 0 (kept free for tests that poke the namespace
+/// directly).
+RegisterId RegisterOf(std::uint64_t key) { return key + 1; }
+
+/// How long the synchronous Write/Read wait before reporting kFailed.
+constexpr std::chrono::seconds kOpTimeout{10};
+
+}  // namespace
+
+ShardedCluster::Group::Group(GroupKey /*key*/, const GroupOptions& options,
+                             std::uint64_t seed)
+    : cluster_(ThreadCluster::Options{.use_tcp = options.use_tcp,
+                                      .seed = seed,
+                                      .shaping = options.shaping}) {
+  const ProtocolConfig& config = options.config;
+  config.Validate();
+  const std::size_t max_registers =
+      std::max<std::size_t>(1024, options.n_clients + 1);
+  std::vector<NodeId> server_ids;
+  for (std::size_t i = 0; i < config.n; ++i) {
+    MuxServer::ServerFactory factory;
+    if (auto it = options.byzantine.find(i); it != options.byzantine.end()) {
+      // Every register of a Byzantine replica misbehaves.
+      factory = [strategy = it->second, config, i,
+                 server_seed = seed * 131 + i](RegisterId) {
+        return MakeByzantineServer(strategy, config, i, server_seed);
+      };
+    }
+    server_ids.push_back(cluster_.AddNode(std::make_unique<MuxServer>(
+        config, i, max_registers, std::move(factory))));
+  }
+  auto client = std::make_unique<MuxClient>(
+      config, server_ids, static_cast<ClientId>(config.n), max_registers);
+  client_ = client.get();
+  client_id_ = cluster_.AddNode(std::move(client));
+}
+
+std::unique_ptr<ShardedCluster::Group> ShardedCluster::MakeGroup(
+    std::size_t index) const {
+  return std::make_unique<Group>(GroupKey(), options_.group,
+                                 options_.group.seed * 8191 + index);
 }
 
 ShardedCluster::ShardedCluster(const Options& options) : options_(options) {
   SBFT_ASSERT(options.n_groups >= 1);
-  // The sharded layer routes by 64-bit key over the mux register
-  // namespace; the one-node-per-client topology has no key namespace.
-  SBFT_ASSERT(options.group.multiplex);
   // Build the groups BEFORE taking the router lock: the router lock is
   // declared to order before nothing runtime-side (docs/ARCHITECTURE.md
   // lock-order DAG), and group construction binds sockets. A
   // constructor has no concurrency anyway — the lock below only
   // publishes the assembled state, as AddGroup already does.
-  std::vector<std::unique_ptr<RegisterCluster>> groups;
+  std::vector<std::unique_ptr<Group>> groups;
   groups.reserve(options.n_groups);
   for (std::size_t g = 0; g < options.n_groups; ++g) {
-    groups.push_back(
-        std::make_unique<RegisterCluster>(GroupOptions(options, g)));
+    groups.push_back(MakeGroup(g));
   }
   MutexLock lock(mutex_);
-  map_ = ShardMap::Initial(options.n_groups, options.vnodes_per_group);
+  map_ = ShardMap::Initial(options.n_groups);
   groups_ = std::move(groups);
 }
 
 void ShardedCluster::Start() {
-  std::vector<RegisterCluster*> groups;
+  std::vector<Group*> groups;
   {
     MutexLock lock(mutex_);
     if (started_) return;
     started_ = true;
     for (auto& group : groups_) groups.push_back(group.get());
   }
-  for (RegisterCluster* group : groups) group->Start();
+  for (Group* group : groups) group->cluster_.Start();
 }
 
 void ShardedCluster::Stop() {
-  // Destruction must run outside the lock: group Stop() joins node
-  // threads that may be blocked in RouteWrite/RecordWriteHome.
-  std::vector<std::unique_ptr<RegisterCluster>> groups;
+  // Join outside the lock: node threads may be blocked in RouteWrite/
+  // RecordWriteHome. The groups themselves live until destruction.
+  std::vector<Group*> groups;
   {
     MutexLock lock(mutex_);
     if (stopped_) return;
     stopped_ = true;
-    groups.swap(groups_);
+    for (auto& group : groups_) groups.push_back(group.get());
   }
-  for (auto& group : groups) group->Stop();
+  for (Group* group : groups) group->cluster_.Stop();
 }
 
-RegisterCluster* ShardedCluster::RouteWrite(std::uint64_t key,
-                                            GroupId* group_out) {
+ShardedCluster::Group* ShardedCluster::RouteWrite(std::uint64_t key,
+                                                  GroupId* group_out) {
   MutexLock lock(mutex_);
   SBFT_ASSERT(started_ && !stopped_);
   const GroupId g = map_.GroupOf(key);
@@ -70,7 +104,7 @@ RegisterCluster* ShardedCluster::RouteWrite(std::uint64_t key,
   return groups_[g].get();
 }
 
-RegisterCluster* ShardedCluster::RouteRead(std::uint64_t key) {
+ShardedCluster::Group* ShardedCluster::RouteRead(std::uint64_t key) {
   MutexLock lock(mutex_);
   SBFT_ASSERT(started_ && !stopped_);
   const auto it = write_home_.find(key);
@@ -87,21 +121,39 @@ void ShardedCluster::RecordWriteHome(std::uint64_t key, GroupId group) {
 void ShardedCluster::AsyncWrite(std::uint64_t key, Value value,
                                 WriteCallback callback) {
   GroupId g = 0;
-  RegisterCluster* group = RouteWrite(key, &g);
+  Group* group = RouteWrite(key, &g);
   // The anchor flips BEFORE the user callback runs: a read issued from
   // the write's completion callback must already route to the group
   // that just acknowledged the write.
-  group->AsyncWrite(
-      key, std::move(value),
-      [this, key, g, callback = std::move(callback)](
-          const WriteOutcome& outcome) {
-        if (outcome.status == OpStatus::kOk) RecordWriteHome(key, g);
-        callback(outcome);
+  WriteCallback anchored = [this, key, g, callback = std::move(callback)](
+                               const WriteOutcome& outcome) {
+    if (outcome.status == OpStatus::kOk) RecordWriteHome(key, g);
+    callback(outcome);
+  };
+  // Always a mailbox post, even from the mux node's own thread: the
+  // round-trip makes the mailbox an op accumulator, so follow-ups
+  // submitted by one wakeup's completion callbacks all start together
+  // in the next wakeup — one wide shared-flush window. Starting them
+  // in place would close a small window at the end of every receive
+  // burst, multiplying NodeFlush rounds on the TCP backend (measured
+  // ~25% worse at c256).
+  group->cluster_.PostToNode(
+      group->client_id_,
+      [client = group->client_, key, value = std::move(value),
+       callback = std::move(anchored)]() mutable {
+        client->StartWrite(RegisterOf(key), std::move(value),
+                           std::move(callback));
       });
 }
 
 void ShardedCluster::AsyncRead(std::uint64_t key, ReadCallback callback) {
-  RouteRead(key)->AsyncRead(key, std::move(callback));
+  Group* group = RouteRead(key);
+  // Mailbox post even from the mux node's thread — see AsyncWrite.
+  group->cluster_.PostToNode(
+      group->client_id_,
+      [client = group->client_, key, callback = std::move(callback)]() mutable {
+        client->StartRead(RegisterOf(key), std::move(callback));
+      });
 }
 
 WriteOutcome ShardedCluster::Write(std::uint64_t key, Value value) {
@@ -110,8 +162,7 @@ WriteOutcome ShardedCluster::Write(std::uint64_t key, Value value) {
   AsyncWrite(key, std::move(value), [done](const WriteOutcome& outcome) {
     done->set_value(outcome);
   });
-  if (future.wait_for(options_.group.op_timeout) !=
-      std::future_status::ready) {
+  if (future.wait_for(kOpTimeout) != std::future_status::ready) {
     return WriteOutcome{};  // kFailed
   }
   return future.get();
@@ -123,8 +174,7 @@ ReadOutcome ShardedCluster::Read(std::uint64_t key) {
   AsyncRead(key, [done](const ReadOutcome& outcome) {
     done->set_value(outcome);
   });
-  if (future.wait_for(options_.group.op_timeout) !=
-      std::future_status::ready) {
+  if (future.wait_for(kOpTimeout) != std::future_status::ready) {
     return ReadOutcome{};  // kFailed
   }
   return future.get();
@@ -142,8 +192,8 @@ GroupId ShardedCluster::AddGroup() {
   // the routing fast path). Concurrent AddGroup calls are the caller's
   // bug; the index check below turns a race into a crash, not silent
   // misrouting.
-  auto group = std::make_unique<RegisterCluster>(GroupOptions(options_, index));
-  group->Start();
+  std::unique_ptr<Group> group = MakeGroup(index);
+  group->cluster_.Start();
   {
     MutexLock lock(mutex_);
     SBFT_ASSERT(!stopped_);
@@ -160,14 +210,19 @@ GroupId ShardedCluster::AddGroup() {
 
 void ShardedCluster::CorruptServer(std::size_t server_index,
                                    std::uint64_t seed) {
-  std::vector<RegisterCluster*> groups;
+  SBFT_ASSERT(server_index < options_.group.config.n);
+  const auto node = static_cast<NodeId>(server_index);
+  std::vector<ThreadCluster*> clusters;
   {
     MutexLock lock(mutex_);
     SBFT_ASSERT(started_ && !stopped_);
-    for (auto& group : groups_) groups.push_back(group.get());
+    for (auto& group : groups_) clusters.push_back(&group->cluster_);
   }
-  for (RegisterCluster* group : groups) {
-    group->CorruptServer(server_index, seed);
+  for (ThreadCluster* cluster : clusters) {
+    cluster->PostToNode(node, [cluster, node, seed] {
+      Rng rng(seed);
+      cluster->node(node).CorruptState(rng);
+    });
   }
 }
 
@@ -205,7 +260,7 @@ std::uint64_t ShardedCluster::frames_delivered() const {
   MutexLock lock(mutex_);
   std::uint64_t total = 0;
   for (const auto& group : groups_) {
-    total += group->cluster().frames_delivered();
+    total += group->cluster_.frames_delivered();
   }
   return total;
 }
@@ -214,7 +269,7 @@ std::uint64_t ShardedCluster::protocol_cpu_ns() const {
   MutexLock lock(mutex_);
   std::uint64_t total = 0;
   for (const auto& group : groups_) {
-    total += group->cluster().protocol_cpu_ns();
+    total += group->cluster_.protocol_cpu_ns();
   }
   return total;
 }
@@ -222,11 +277,13 @@ std::uint64_t ShardedCluster::protocol_cpu_ns() const {
 std::uint64_t ShardedCluster::node_flush_rounds() const {
   MutexLock lock(mutex_);
   std::uint64_t total = 0;
-  for (const auto& group : groups_) total += group->node_flush_rounds();
+  for (const auto& group : groups_) {
+    total += group->client_->node_flush_rounds();
+  }
   return total;
 }
 
-RegisterCluster& ShardedCluster::group(std::size_t index) {
+ShardedCluster::Group& ShardedCluster::group(std::size_t index) {
   MutexLock lock(mutex_);
   SBFT_ASSERT(index < groups_.size());
   return *groups_[index];

@@ -21,7 +21,6 @@ import sys
 POSITIVE_TUS = [
     "runtime/tcp.cpp",
     "runtime/cluster.cpp",
-    "runtime/register_cluster.cpp",
     "runtime/sharded_cluster.cpp",
     "runtime/link_shaper.cpp",
     "load/driver.cpp",

@@ -1,6 +1,6 @@
 // Threaded-runtime tests: the same automata that run in the simulator
 // must work on real threads (mailboxes) and over TCP loopback.
-#include "runtime/register_cluster.hpp"
+#include "runtime/sharded_cluster.hpp"
 
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -11,10 +11,13 @@
 #include <chrono>
 #include <deque>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/client.hpp"
+#include "core/server.hpp"
 #include "runtime/mailbox.hpp"
 
 namespace sbft {
@@ -125,11 +128,73 @@ TEST(Mailbox, PushSignalsOnlyAParkedConsumer) {
   EXPECT_EQ(batch.size(), 2u);
 }
 
+/// One group of six servers: the single-group threaded deployment.
+ShardedCluster::Options OneGroup(bool use_tcp = false) {
+  ShardedCluster::Options options;
+  options.group.config = ProtocolConfig::ForServers(6);
+  options.group.use_tcp = use_tcp;
+  return options;
+}
+
+/// Several RegisterClients on ONE register, which the serving path (one
+/// client per key) cannot express: six RegisterServers and `n_clients`
+/// RegisterClients, each on its own node of one ThreadCluster.
+/// Write/Read run the op on the client's node thread and block on it,
+/// reporting kFailed after 10 s like ShardedCluster's.
+class SharedRegisterRig {
+ public:
+  explicit SharedRegisterRig(std::size_t n_clients) {
+    const ProtocolConfig config = ProtocolConfig::ForServers(6);
+    std::vector<NodeId> servers;
+    for (std::size_t i = 0; i < config.n; ++i) {
+      servers.push_back(
+          cluster_.AddNode(std::make_unique<RegisterServer>(config, i)));
+    }
+    for (std::size_t c = 0; c < n_clients; ++c) {
+      auto client = std::make_unique<RegisterClient>(
+          config, servers, static_cast<ClientId>(config.n + c));
+      clients_.push_back(client.get());
+      nodes_.push_back(cluster_.AddNode(std::move(client)));
+    }
+    cluster_.Start();
+  }
+
+  WriteOutcome Write(std::size_t c, Value value) {
+    return Run<WriteOutcome>(c, [value = std::move(value)](
+                                    RegisterClient& client,
+                                    WriteCallback done) mutable {
+      client.StartWrite(std::move(value), std::move(done));
+    });
+  }
+  ReadOutcome Read(std::size_t c) {
+    return Run<ReadOutcome>(c, [](RegisterClient& client, ReadCallback done) {
+      client.StartRead(std::move(done));
+    });
+  }
+
+ private:
+  template <typename Outcome, typename Op>
+  Outcome Run(std::size_t c, Op op) {
+    auto done = std::make_shared<std::promise<Outcome>>();
+    auto future = done->get_future();
+    cluster_.PostToNode(nodes_[c], [client = clients_[c], op = std::move(op),
+                                    done]() mutable {
+      op(*client, [done](const Outcome& outcome) { done->set_value(outcome); });
+    });
+    if (future.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      return Outcome{};  // kFailed
+    }
+    return future.get();
+  }
+
+  ThreadCluster cluster_;
+  std::vector<RegisterClient*> clients_;  // owned by cluster_
+  std::vector<NodeId> nodes_;
+};
+
 TEST(ThreadClusterTest, InprocWriteRead) {
-  RegisterCluster::Options options;
-  options.config = ProtocolConfig::ForServers(6);
-  options.n_clients = 1;
-  RegisterCluster cluster(std::move(options));
+  ShardedCluster cluster(OneGroup());
   cluster.Start();
 
   auto write = cluster.Write(0, Val("threaded"));
@@ -141,11 +206,7 @@ TEST(ThreadClusterTest, InprocWriteRead) {
 }
 
 TEST(ThreadClusterTest, InprocManyOpsTwoClients) {
-  RegisterCluster::Options options;
-  options.config = ProtocolConfig::ForServers(6);
-  options.n_clients = 2;
-  RegisterCluster cluster(std::move(options));
-  cluster.Start();
+  SharedRegisterRig cluster(2);
 
   for (int i = 0; i < 20; ++i) {
     const Value value = Val("op" + std::to_string(i));
@@ -155,15 +216,12 @@ TEST(ThreadClusterTest, InprocManyOpsTwoClients) {
     ASSERT_EQ(read.status, OpStatus::kOk) << i;
     EXPECT_EQ(read.value, value) << i;
   }
-  cluster.Stop();
 }
 
 TEST(ThreadClusterTest, InprocWithByzantine) {
-  RegisterCluster::Options options;
-  options.config = ProtocolConfig::ForServers(6);
-  options.byzantine[2] = ByzantineStrategy::kStaleReplay;
-  options.n_clients = 1;
-  RegisterCluster cluster(std::move(options));
+  ShardedCluster::Options options = OneGroup();
+  options.group.byzantine[2] = ByzantineStrategy::kStaleReplay;
+  ShardedCluster cluster(options);
   cluster.Start();
 
   for (int i = 0; i < 5; ++i) {
@@ -177,11 +235,7 @@ TEST(ThreadClusterTest, InprocWithByzantine) {
 }
 
 TEST(ThreadClusterTest, ConcurrentClientsFromThreads) {
-  RegisterCluster::Options options;
-  options.config = ProtocolConfig::ForServers(6);
-  options.n_clients = 3;
-  RegisterCluster cluster(std::move(options));
-  cluster.Start();
+  SharedRegisterRig cluster(3);
 
   std::atomic<int> ok{0};
   std::vector<std::thread> drivers;
@@ -203,15 +257,10 @@ TEST(ThreadClusterTest, ConcurrentClientsFromThreads) {
   // Concurrency may fail a few writes through retry exhaustion, but the
   // vast majority of operations must succeed.
   EXPECT_GE(ok.load(), 50);
-  cluster.Stop();
 }
 
 TEST(ThreadClusterTest, TcpWriteRead) {
-  RegisterCluster::Options options;
-  options.config = ProtocolConfig::ForServers(6);
-  options.use_tcp = true;
-  options.n_clients = 1;
-  RegisterCluster cluster(std::move(options));
+  ShardedCluster cluster(OneGroup(/*use_tcp=*/true));
   cluster.Start();
 
   for (int i = 0; i < 5; ++i) {
@@ -226,20 +275,18 @@ TEST(ThreadClusterTest, TcpWriteRead) {
 }
 
 TEST(ThreadClusterTest, TcpDroppedConnectionReconnects) {
-  RegisterCluster::Options options;
-  options.config = ProtocolConfig::ForServers(6);
-  options.use_tcp = true;
-  options.n_clients = 2;
-  RegisterCluster cluster(std::move(options));
+  ShardedCluster::Options options = OneGroup(/*use_tcp=*/true);
+  options.group.n_clients = 2;
+  ShardedCluster cluster(options);
   cluster.Start();
-  // The first client node follows the servers.
-  const auto client = static_cast<NodeId>(cluster.config().n);
+  // The mux client node follows the servers.
+  const auto client = static_cast<NodeId>(options.group.config.n);
 
   for (int i = 0; i < 6; ++i) {
     if (i == 3) {
       // Posted from this (foreign) thread to each socket's owning node.
-      cluster.cluster().DropConnection(client, 0);
-      cluster.cluster().DropConnection(0, client);
+      cluster.group(0).cluster().DropConnection(client, 0);
+      cluster.group(0).cluster().DropConnection(0, client);
     }
     const Value value = Val("rc" + std::to_string(i));
     ASSERT_EQ(cluster.Write(i % 2, value).status, OpStatus::kOk) << i;
@@ -253,13 +300,10 @@ TEST(ThreadClusterTest, TcpDroppedConnectionReconnects) {
 TEST(ThreadClusterTest, TcpWithShapedLinks) {
   // Receive-side shaping on TCP: frames are copied out of the receive
   // buffer, delayed by the shaper, and delivered through the mailbox.
-  RegisterCluster::Options options;
-  options.config = ProtocolConfig::ForServers(6);
-  options.use_tcp = true;
-  options.n_clients = 1;
-  options.shaping.delay_us = 200;
-  options.shaping.jitter_us = 200;
-  RegisterCluster cluster(std::move(options));
+  ShardedCluster::Options options = OneGroup(/*use_tcp=*/true);
+  options.group.shaping.delay_us = 200;
+  options.group.shaping.jitter_us = 200;
+  ShardedCluster cluster(options);
   cluster.Start();
   for (int i = 0; i < 3; ++i) {
     const Value value = Val("shaped" + std::to_string(i));
@@ -321,10 +365,7 @@ TEST(ThreadClusterTest, NodeTimersFireWithMicrosecondResolution) {
 }
 
 TEST(ThreadClusterTest, AsyncApiCompletesOnNodeThread) {
-  RegisterCluster::Options options;
-  options.config = ProtocolConfig::ForServers(6);
-  options.n_clients = 1;
-  RegisterCluster cluster(std::move(options));
+  ShardedCluster cluster(OneGroup());
   cluster.Start();
 
   std::promise<ReadOutcome> done;

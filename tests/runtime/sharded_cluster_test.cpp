@@ -1,7 +1,13 @@
-// Sharded deployment: G independent register groups behind the
-// consistent-hash router (runtime/sharded_cluster.hpp).
+// The threaded deployment: G independent register groups behind the
+// consistent-hash router (runtime/sharded_cluster.hpp), each group one
+// batching, FLUSH-sharing mux client over its servers.
 //
 // What must hold:
+//   * pipelined keys of one group share one client node and one TCP
+//     connection per server; frames of many registers coalesce into
+//     shared MuxBatch rounds with one NodeFlush per window, yet each
+//     key must still see ITS operations complete in issue order with
+//     read-your-writes (MuxPipeline);
 //   * routing is read-your-writes per key across groups, on both
 //     transports, under pipelined concurrency — and the recorded
 //     history passes the per-key regular-register checker;
@@ -21,6 +27,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "load/stabilization.hpp"
 #include "spec/history.hpp"
@@ -35,13 +42,17 @@ ShardedCluster::Options BaseOptions(std::size_t n_groups, bool use_tcp,
   ShardedCluster::Options options;
   options.group.config = ProtocolConfig::ForServers(6);
   options.group.use_tcp = use_tcp;
-  options.group.multiplex = true;
   options.group.n_clients = n_keys;
   options.n_groups = n_groups;
   return options;
 }
 
 struct ShardedRun {
+  struct PerKey {
+    std::vector<std::string> reads;  // value seen by read i
+    int completed_pairs = 0;
+  };
+  std::vector<PerKey> keys;
   int failures = 0;
   History history;  // wall-clock µs stamps, OpRecord::client = key
 };
@@ -49,8 +60,9 @@ struct ShardedRun {
 // Pipelined closed loop over the sharded deployment: each key runs
 // `pairs` write+read pairs, the next op issued from the completion
 // callback (callbacks arrive on G different mux node threads, hence
-// the lock). `on_progress`, when set, sees the running completed-op
-// count — the hook the migration test uses to AddGroup mid-run.
+// the lock). Records every op as a History and each key's read values.
+// `on_progress`, when set, sees the running completed-op count — the
+// hook the migration test uses to AddGroup mid-run.
 ShardedRun RunShardedWorkload(ShardedCluster& cluster, std::size_t n_keys,
                               int pairs,
                               std::function<void(int)> on_progress = nullptr) {
@@ -63,6 +75,7 @@ ShardedRun RunShardedWorkload(ShardedCluster& cluster, std::size_t n_keys,
   };
 
   ShardedRun run;
+  run.keys.resize(n_keys);
   std::mutex mutex;
   std::condition_variable done_cv;
   std::size_t done_keys = 0;
@@ -108,6 +121,9 @@ ShardedRun RunShardedWorkload(ShardedCluster& cluster, std::size_t n_keys,
                             : OpRecord::Result::kAborted;
           done.value = read.value;
           run.history.Add(std::move(done));
+          run.keys[k].reads.emplace_back(read.value.begin(),
+                                         read.value.end());
+          run.keys[k].completed_pairs = i + 1;
           after_read = ++completed;
         }
         if (on_progress) on_progress(after_read);
@@ -133,6 +149,136 @@ ShardedRun RunShardedWorkload(ShardedCluster& cluster, std::size_t n_keys,
   return run;
 }
 
+// Read i follows write i with nothing in between on a single-writer
+// register, so it must return exactly value i — the per-key ordering
+// guarantee across the shared connection and shared rounds.
+void ExpectPerClientOrdering(const ShardedRun& run, std::size_t n_keys,
+                             int pairs) {
+  EXPECT_EQ(run.failures, 0);
+  for (std::size_t k = 0; k < n_keys; ++k) {
+    ASSERT_EQ(run.keys[k].completed_pairs, pairs) << "key " << k;
+    ASSERT_EQ(run.keys[k].reads.size(), static_cast<std::size_t>(pairs));
+    for (int i = 0; i < pairs; ++i) {
+      EXPECT_EQ(run.keys[k].reads[static_cast<std::size_t>(i)],
+                "k" + std::to_string(k) + "#" + std::to_string(i))
+          << "key " << k << " op " << i;
+    }
+  }
+}
+
+TEST(MuxPipeline, SixtyFourClientsPreservePerClientOrdering) {
+  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/true, 64));
+  cluster.Start();
+  const ShardedRun run = RunShardedWorkload(cluster, 64, 5);
+  cluster.Stop();
+  ExpectPerClientOrdering(run, 64, 5);
+}
+
+// Synchronous ops, one at a time: each starts in its own mailbox drain,
+// a window of one.
+TEST(MuxPipeline, InprocMultiplexedClientsReadTheirWrites) {
+  constexpr std::size_t kClients = 16;
+  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/false, kClients));
+  cluster.Start();
+  for (std::size_t c = 0; c < kClients; ++c) {
+    const Value value = Val("v" + std::to_string(c));
+    ASSERT_EQ(cluster.Write(c, value).status, OpStatus::kOk);
+  }
+  for (std::size_t c = 0; c < kClients; ++c) {
+    auto read = cluster.Read(c);
+    ASSERT_EQ(read.status, OpStatus::kOk);
+    EXPECT_EQ(read.value, Val("v" + std::to_string(c))) << c;
+  }
+  cluster.Stop();
+}
+
+TEST(MuxPipeline, BatchedTcpClientsOrderedAndRegular) {
+  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/true, 64));
+  cluster.Start();
+  const ShardedRun run = RunShardedWorkload(cluster, 64, 5);
+  cluster.Stop();
+  ExpectPerClientOrdering(run, 64, 5);
+  const CheckReport report = load::CheckRegularPerKey(run.history, {});
+  EXPECT_TRUE(report.ok) << report.Summary();
+}
+
+// The mailbox transport must give the identical guarantee (the mux
+// layer, not the socket, provides per-key ordering).
+TEST(MuxPipeline, BatchedInprocClientsOrderedAndRegular) {
+  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/false, 32));
+  cluster.Start();
+  const ShardedRun run = RunShardedWorkload(cluster, 32, 4);
+  cluster.Stop();
+  ExpectPerClientOrdering(run, 32, 4);
+  const CheckReport report = load::CheckRegularPerKey(run.history, {});
+  EXPECT_TRUE(report.ok) << report.Summary();
+}
+
+// ---- Shared FLUSH rounds ---------------------------------------------
+
+// The pipelined workloads again, also demanding that their FLUSH phases
+// went out as node-level NodeFlush rounds on both transports.
+TEST(MuxPipeline, SharedFlushTcpClientsOrderedAndRegular) {
+  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/true, 64));
+  cluster.Start();
+  const ShardedRun run = RunShardedWorkload(cluster, 64, 5);
+  cluster.Stop();
+  ExpectPerClientOrdering(run, 64, 5);
+  const CheckReport report = load::CheckRegularPerKey(run.history, {});
+  EXPECT_TRUE(report.ok) << report.Summary();
+  EXPECT_GE(cluster.node_flush_rounds(), 1u);
+}
+
+TEST(MuxPipeline, SharedFlushInprocClientsOrderedAndRegular) {
+  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/false, 32));
+  cluster.Start();
+  const ShardedRun run = RunShardedWorkload(cluster, 32, 4);
+  cluster.Stop();
+  ExpectPerClientOrdering(run, 32, 4);
+  const CheckReport report = load::CheckRegularPerKey(run.history, {});
+  EXPECT_TRUE(report.ok) << report.Summary();
+  EXPECT_GE(cluster.node_flush_rounds(), 1u);
+}
+
+// Amortization on the threaded runtime: 32 keys x 8 writes = 256 ops
+// need 256 FLUSH phases, but shared windows must pack them into far
+// fewer NodeFlush rounds. Measured after Stop() so the counter is
+// quiescent.
+TEST(MuxPipeline, SharedFlushAmortizesNodeFlushRounds) {
+  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/false, 32));
+  cluster.Start();
+  std::atomic<int> remaining{32};
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  std::function<void(std::size_t, int)> next = [&](std::size_t c, int i) {
+    if (i == 8) {
+      if (remaining.fetch_sub(1) == 1) {
+        std::lock_guard<std::mutex> lock(mutex);
+        done_cv.notify_one();
+      }
+      return;
+    }
+    cluster.AsyncWrite(c, Val("v" + std::to_string(i)),
+                       [&, c, i](const WriteOutcome& outcome) {
+                         EXPECT_EQ(outcome.status, OpStatus::kOk);
+                         next(c, i + 1);
+                       });
+  };
+  for (std::size_t c = 0; c < 32; ++c) next(c, 0);
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(done_cv.wait_for(lock, std::chrono::seconds(60),
+                                 [&] { return remaining.load() == 0; }));
+  }
+  cluster.Stop();
+  const std::uint64_t rounds = cluster.node_flush_rounds();
+  EXPECT_GE(rounds, 1u);
+  // 256 ops; each window spans one mailbox drain. Allow generous slack
+  // for ragged windows — the point is the order of magnitude.
+  EXPECT_LT(rounds, 200u) << "shared flush did not amortize";
+  EXPECT_GT(cluster.protocol_cpu_ns(), 0u);
+}
+
 TEST(ShardedCluster, RoutesReadYourWritesAcrossGroups) {
   ShardedCluster cluster(BaseOptions(3, /*use_tcp=*/false, 32));
   cluster.Start();
@@ -156,6 +302,10 @@ TEST(ShardedCluster, RoutesReadYourWritesAcrossGroups) {
   }
   EXPECT_EQ(cluster.keys_awaiting_handoff(), 0u);
   cluster.Stop();
+  // Stop() joins the groups but keeps them: the aggregates still read.
+  EXPECT_EQ(cluster.n_groups(), 3u);
+  EXPECT_GE(cluster.node_flush_rounds(), 1u);
+  EXPECT_GT(cluster.frames_delivered(), 0u);
 }
 
 TEST(ShardedCluster, TwoGroupsPipelinedRegularInproc) {
