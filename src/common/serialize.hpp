@@ -4,11 +4,13 @@
 // BufReader. The reader is hardened: transient faults may replace channel
 // contents with arbitrary bytes (§II of the paper), so decoding garbage
 // must fail cleanly (sticky error flag) instead of crashing or reading
-// out of bounds. Integers are little-endian; containers are
-// length-prefixed with a sanity cap.
+// out of bounds. Fixed-width integers are little-endian; containers are
+// length-prefixed with a sanity cap; varints carry the label codec's
+// counts and deltas (labels/bounded_label.hpp).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -24,6 +26,20 @@ namespace sbft {
 /// Garbage frames routinely decode to absurd lengths; this cap bounds
 /// allocation before the frame is rejected by higher-level validation.
 constexpr std::uint32_t kMaxWireElements = 1u << 20;
+
+/// A varint takes 7 bits per byte, low group first, with the high bit
+/// set on every byte but the last; a 32-bit value takes at most 5.
+constexpr std::size_t kMaxVarintBytes = 5;
+
+/// Store `value` as a varint at `out`; returns one past its last byte.
+inline std::uint8_t* StoreVarint(std::uint8_t* out, std::uint32_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<std::uint8_t>(value | 0x80);
+    value >>= 7;
+  }
+  *out++ = static_cast<std::uint8_t>(value);
+  return out;
+}
 
 namespace detail {
 // Unsigned carrier type for an integral or enum T, computed lazily so
@@ -58,13 +74,16 @@ class BufWriter {
   void Put(T value) {
     using U = detail::WireCarrierT<T>;
     auto u = static_cast<U>(value);
-    // push_back, not resize+memcpy: pooled frame buffers retain their
-    // capacity across encodes, so after warmup every byte lands on the
-    // inline fast path instead of an out-of-line vector-growth call.
+    // Staged little-endian in a local array and appended with one
+    // insert: a push_back per byte costs a capacity check each and, once
+    // the compiler stops inlining them in a large encode loop, an
+    // outlined call each.
+    std::array<std::uint8_t, sizeof(U)> bytes;
     for (std::size_t i = 0; i < sizeof(U); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(u & 0xFF));
+      bytes[i] = static_cast<std::uint8_t>(u & 0xFF);
       u = static_cast<U>(u >> 8);
     }
+    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
 
   void PutBytes(BytesView data) {
@@ -92,26 +111,15 @@ class BufWriter {
     for (const auto& item : items) encode_one(*this, item);
   }
 
-  /// Length-prefixed run of little-endian integers — byte-identical to
-  /// PutVector over Put<T>, but with ONE capacity operation for the
-  /// whole run and direct stores instead of per-byte push_back. Used
-  /// for label antisting sets, the most-encoded container in the
-  /// protocol: a quorum reply carries ~7 labels of k integers each, so
-  /// the per-byte capacity checks of Put<T> dominated encode profiles.
-  template <typename T, typename C>
-  void PutIntegralRun(const C& items) {
-    static_assert(std::is_integral_v<T>);
-    Put<std::uint32_t>(static_cast<std::uint32_t>(items.size()));
+  /// Append a field of variable width with one capacity operation:
+  /// `fill` stores at most `max_bytes` through the pointer it is handed
+  /// and returns one past the last byte it stored.
+  template <typename Fill>
+  void PutVariable(std::size_t max_bytes, Fill&& fill) {
     const std::size_t old_size = buf_.size();
-    buf_.resize(old_size + items.size() * sizeof(T));
-    std::uint8_t* out = buf_.data() + old_size;
-    for (const T item : items) {
-      auto u = static_cast<std::make_unsigned_t<T>>(item);
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        *out++ = static_cast<std::uint8_t>(u & 0xFF);
-        u = static_cast<std::make_unsigned_t<T>>(u >> 8);
-      }
-    }
+    buf_.resize(old_size + max_bytes);
+    const std::uint8_t* end = fill(buf_.data() + old_size);
+    buf_.resize(static_cast<std::size_t>(end - buf_.data()));
   }
 
   /// Overwrite a fixed-width integer previously written at `offset`
@@ -212,32 +220,22 @@ class BufReader {
     }
   }
 
-  /// Counterpart of PutIntegralRun: decodes a length-prefixed run of
-  /// little-endian integers with one bounds check for the whole run
-  /// instead of one per element. Accepts the same frames GetInto over
-  /// Get<T> would, and rejects the same ones (a count that overruns the
-  /// buffer fails before any element is materialized).
-  template <typename T, typename C>
-  void GetIntegralRun(C& out) {
-    static_assert(std::is_integral_v<T>);
-    out.clear();
-    const auto count = Get<std::uint32_t>();
-    if (failed_ || count > kMaxWireElements ||
-        !Need(static_cast<std::size_t>(count) * sizeof(T))) {
-      failed_ = true;
-      return;
-    }
-    out.resize(count);
-    const std::uint8_t* in = data_.data() + pos_;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      using U = std::make_unsigned_t<T>;
-      U u = 0;
-      for (std::size_t b = 0; b < sizeof(T); ++b) {
-        u |= static_cast<U>(static_cast<U>(*in++) << (8 * b));
+  /// A varint as StoreVarint writes it. Fails the reader on a
+  /// truncated varint, on one longer than kMaxVarintBytes and on a value
+  /// past 32 bits.
+  std::uint32_t GetVarint() {
+    std::uint64_t value = 0;
+    for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
+      if (!Need(1)) return 0;
+      const std::uint8_t byte = data_[pos_++];
+      value |= static_cast<std::uint64_t>(byte & 0x7F) << (7 * i);
+      if ((byte & 0x80) == 0) {
+        if (value > 0xFFFFFFFFu) break;
+        return static_cast<std::uint32_t>(value);
       }
-      out[i] = static_cast<T>(u);
     }
-    pos_ += static_cast<std::size_t>(count) * sizeof(T);
+    failed_ = true;
+    return 0;
   }
 
   /// Current read offset. With Skip, lets a lazy decoder validate a
@@ -252,6 +250,10 @@ class BufReader {
     pos_ += n;
     return true;
   }
+
+  /// Mark the frame malformed: for decoders whose own checks reject
+  /// bytes that are within bounds.
+  void Fail() { failed_ = true; }
 
   /// True once any read ran past the buffer or a length prefix was
   /// implausible. Callers check this once after decoding a whole frame.

@@ -35,7 +35,7 @@ Deployment::Driven<WriteOutcome> Deployment::Write(std::size_t client,
                                                    std::uint64_t max_events) {
   Driven<WriteOutcome> driven;
   driven.invoked_at = world_.now();
-  const std::uint64_t frames_before = world_.stats().frames_sent;
+  const NetworkStats before = world_.stats();
   bool done = false;
   clients_[client]->StartWrite(std::move(value),
                                [&](const WriteOutcome& outcome) {
@@ -44,7 +44,8 @@ Deployment::Driven<WriteOutcome> Deployment::Write(std::size_t client,
                                  done = true;
                                });
   driven.completed = world_.RunUntil([&] { return done; }, max_events);
-  driven.frames_sent = world_.stats().frames_sent - frames_before;
+  driven.frames_sent = world_.stats().frames_sent - before.frames_sent;
+  driven.bytes_sent = world_.stats().bytes_sent - before.bytes_sent;
   return driven;
 }
 
@@ -52,7 +53,7 @@ Deployment::Driven<ReadOutcome> Deployment::Read(std::size_t client,
                                                  std::uint64_t max_events) {
   Driven<ReadOutcome> driven;
   driven.invoked_at = world_.now();
-  const std::uint64_t frames_before = world_.stats().frames_sent;
+  const NetworkStats before = world_.stats();
   bool done = false;
   clients_[client]->StartRead([&](const ReadOutcome& outcome) {
     driven.outcome = outcome;
@@ -60,7 +61,8 @@ Deployment::Driven<ReadOutcome> Deployment::Read(std::size_t client,
     done = true;
   });
   driven.completed = world_.RunUntil([&] { return done; }, max_events);
-  driven.frames_sent = world_.stats().frames_sent - frames_before;
+  driven.frames_sent = world_.stats().frames_sent - before.frames_sent;
+  driven.bytes_sent = world_.stats().bytes_sent - before.bytes_sent;
   return driven;
 }
 

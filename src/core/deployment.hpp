@@ -58,6 +58,7 @@ class Deployment {
     VirtualTime invoked_at = 0;
     VirtualTime returned_at = 0;
     std::uint64_t frames_sent = 0;  // network frames during the op (all traffic)
+    std::uint64_t bytes_sent = 0;   // their bytes
   };
 
   Driven<WriteOutcome> Write(std::size_t client, Value value,

@@ -13,15 +13,12 @@ namespace {
 constexpr std::size_t kHeadAt = sizeof(std::uint8_t);
 
 // Walk one encoded (value, timestamp) pair of reply_prefix_, the head or
-// a history entry: value bytes, label sting, antisting run, writer id.
-// The prefix is the server's own encoding, but its labels may be garbage
-// of any antisting count (CorruptState).
+// a history entry. The prefix is the server's own encoding, so the walk
+// never fails, whatever garbage its labels hold (CorruptState): Encode
+// writes any in-memory label in a form Decode accepts.
 void SkipVersioned(BufReader& r) {
   (void)r.GetBytesView();
-  (void)r.Get<std::uint32_t>();
-  const auto antistings = r.Get<std::uint32_t>();
-  (void)r.Skip(static_cast<std::size_t>(antistings) * sizeof(std::uint32_t));
-  (void)r.Get<ClientId>();
+  Timestamp::Skip(r);
 }
 
 // Offset of the history count in a reply prefix: past the tag and the
@@ -116,17 +113,16 @@ void RegisterServer::HandleWrite(NodeId from, const WriteMsg& msg,
   // whose next() folded in this server's (sanitized) label always
   // dominates it and is adopted, so a garbage-stuck server is unstuck
   // by the next write that samples it.
+  // Both labels are sanitized above, so both are valid here.
   bool adopt = true;
-  if (labels_.IsValid(incoming.label) && labels_.IsValid(local.label)) {
-    if (Precedes(incoming.label, local.label, labels_.params())) {
-      adopt = false;  // strictly older by label
-    } else if (Precedes(local.label, incoming.label, labels_.params())) {
-      adopt = true;
-    } else {
-      // Equal or incomparable labels: identifiers decide; ties adopt
-      // (identical timestamp, e.g. a retransmission).
-      adopt = incoming.writer_id >= local.writer_id;
-    }
+  if (Precedes(incoming.label, local.label, labels_.params())) {
+    adopt = false;  // strictly older by label
+  } else if (Precedes(local.label, incoming.label, labels_.params())) {
+    adopt = true;
+  } else {
+    // Equal or incomparable labels: identifiers decide; ties adopt
+    // (identical timestamp, e.g. a retransmission).
+    adopt = incoming.writer_id >= local.writer_id;
   }
   // The history exists only in wire form, so the write is spliced into
   // the encoded reply, and everything it encodes is already sanitized:
@@ -222,7 +218,8 @@ void RegisterServer::BuildReplyPrefix(
 void RegisterServer::SpliceWrite(const WireVersioned* head,
                                  const WireVersioned* entry) {
   SBFT_ASSERT(head != nullptr || entry != nullptr);
-  // Only the head is sanitized. History entries go out as stored;
+  // Only the head is sanitized. History entries go out unsanitized, in
+  // the codec's canonical form (antistings sorted and deduplicated);
   // clients sanitize a history label when they materialize it.
   const std::size_t count_at = HistoryOffset(reply_prefix_);
   // Drop the entries the new one pushes out of the window first, so the

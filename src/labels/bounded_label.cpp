@@ -10,6 +10,14 @@ std::strong_ordering Label::CompareRepr(const Label& other) const {
   return antistings <=> other.antistings;
 }
 
+Label Label::Canonical() const {
+  Label canonical = *this;
+  AntistingSet& set = canonical.antistings;
+  std::sort(set.begin(), set.end());
+  set.erase(std::unique(set.begin(), set.end()), set.end());
+  return canonical;
+}
+
 std::string Label::ToString() const {
   std::ostringstream out;
   out << "(" << sting << "|{";
@@ -44,8 +52,8 @@ Label Sanitize(Label label, const LabelParams& params) {
   // garbage.
   if (IsValid(label, params)) return label;
   const std::uint32_t m = params.Domain();
-  label.sting %= m;
-  for (auto& a : label.antistings) a %= m;
+  label.sting = static_cast<std::uint16_t>(label.sting % m);
+  for (auto& a : label.antistings) a = static_cast<std::uint16_t>(a % m);
   std::sort(label.antistings.begin(), label.antistings.end());
   label.antistings.erase(
       std::unique(label.antistings.begin(), label.antistings.end()),
@@ -68,7 +76,7 @@ Label Sanitize(Label label, const LabelParams& params) {
       label.antistings.insert(
           std::upper_bound(label.antistings.begin(), label.antistings.end(),
                            candidate),
-          candidate);
+          static_cast<std::uint16_t>(candidate));
     }
     ++candidate;
   }
@@ -90,18 +98,20 @@ bool Precedes(const Label& a, const Label& b, const LabelParams& params) {
 
 Label InitialLabel(const LabelParams& params) {
   Label label;
-  label.sting = params.k;  // antistings occupy 0..k-1
+  label.sting = static_cast<std::uint16_t>(params.k);  // antistings: 0..k-1
   label.antistings.resize(params.k);
-  for (std::uint32_t i = 0; i < params.k; ++i) label.antistings[i] = i;
+  for (std::uint32_t i = 0; i < params.k; ++i) {
+    label.antistings[i] = static_cast<std::uint16_t>(i);
+  }
   return label;
 }
 
 Label RandomValidLabel(Rng& rng, const LabelParams& params) {
   const std::uint32_t m = params.Domain();
   // Sample a k+1 subset by rejection (domain is small: m = k^2+k+1).
-  std::vector<std::uint32_t> picks;
+  std::vector<std::uint16_t> picks;
   while (picks.size() < params.k + 1) {
-    const auto candidate = static_cast<std::uint32_t>(rng.NextBelow(m));
+    const auto candidate = static_cast<std::uint16_t>(rng.NextBelow(m));
     if (std::find(picks.begin(), picks.end(), candidate) == picks.end()) {
       picks.push_back(candidate);
     }
@@ -116,11 +126,11 @@ Label RandomValidLabel(Rng& rng, const LabelParams& params) {
 
 Label RandomGarbageLabel(Rng& rng, const LabelParams& params) {
   Label label;
-  label.sting = static_cast<std::uint32_t>(rng());
+  label.sting = static_cast<std::uint16_t>(rng());
   const auto count = rng.NextBelow(2 * params.k + 2);
   label.antistings.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    label.antistings.push_back(static_cast<std::uint32_t>(rng()));
+    label.antistings.push_back(static_cast<std::uint16_t>(rng()));
   }
   return label;
 }

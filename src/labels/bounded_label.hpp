@@ -19,8 +19,10 @@
 // Timestamp Graphs instead of a single maximum.
 #pragma once
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/rng.hpp"
@@ -40,8 +42,9 @@ struct LabelParams {
   /// an element remains). We provision 4x that: the slack stretches the
   /// sting-rotation period of next() (see labeling_system.cpp) so that
   /// labels of writes still inside the servers' old_vals window never
-  /// collide with freshly issued ones. Wire size is unaffected — a label
-  /// is one sting plus exactly k antistings regardless of domain size.
+  /// collide with freshly issued ones. On the wire the slack costs
+  /// little: antistings go out as deltas between sorted values
+  /// (Label::Encode), and a wider domain only widens the gaps.
   [[nodiscard]] std::uint32_t Domain() const {
     return 4 * (k * k + k) + 1;
   }
@@ -54,13 +57,15 @@ struct LabelParams {
 ///   exactly p.k of them, and sting is not among them.
 /// A Label object may hold arbitrary garbage after a transient fault;
 /// IsValid/Sanitize handle that case explicitly.
-/// Antisting sets hold exactly k elements (k = n; n <= 16 across the
-/// experiment suite), so inline storage covers every real label and the
-/// heap fallback only fires for fault-injected garbage.
-using AntistingSet = SmallVector<std::uint32_t, 16>;
+/// Domain() <= 65,536 (LabelingSystem asserts k <= 127), so every
+/// domain element fits 16 bits. Antisting sets hold exactly k elements
+/// (k = n; n <= 16 for every benchmark deployment), so inline storage
+/// covers those labels and the heap fallback fires only for larger k
+/// and fault-injected garbage.
+using AntistingSet = SmallVector<std::uint16_t, 16>;
 
 struct Label {
-  std::uint32_t sting = 0;
+  std::uint16_t sting = 0;
   AntistingSet antistings;
 
   friend bool operator==(const Label&, const Label&) = default;
@@ -72,19 +77,82 @@ struct Label {
 
   [[nodiscard]] std::string ToString() const;
 
+  // Wire form: [u16 sting][varint count][delta_0 … delta_{count-1}] with
+  // delta_i = a_i - a_{i-1}, a_{-1} = -1, over the antistings in strictly
+  // ascending order. Every delta is positive, so sorted and distinct
+  // hold by construction, and an antisting whose gap is below 128 costs
+  // one byte instead of four (a k = 16 label averages 19.9 bytes on a
+  // next() chain, 72 as u32s; EXPERIMENTS.md E4).
+  //
+  // Encode canonicalises: an antisting set that is not strictly
+  // ascending (garbage after a transient fault) goes out sorted and
+  // deduplicated. Sanitize ignores order and duplicates, so
+  // Sanitize(Decode(Encode(x))) == Sanitize(x) for every x, and a valid
+  // label round-trips exactly.
+  //
   // Inline: labels are the most-serialized structure in the protocol
-  // (one per timestamp, ~7 timestamps per quorum reply), and the codec
-  // loop is hot enough that the out-of-line call cost showed in
-  // bench_hotpath profiles.
+  // (one per timestamp, a REPLY carries history_window + 1 of them).
   void Encode(BufWriter& w) const {
-    w.Put<std::uint32_t>(sting);
-    w.PutIntegralRun<std::uint32_t>(antistings);
+    if (std::adjacent_find(antistings.begin(), antistings.end(),
+                           std::greater_equal<>()) != antistings.end()) {
+      Canonical().Encode(w);
+      return;
+    }
+    const auto count = static_cast<std::uint32_t>(antistings.size());
+    // A delta is at most 65,536: three varint bytes.
+    w.PutVariable(2 + kMaxVarintBytes + 3 * std::size_t{count},
+                  [this, count](std::uint8_t* out) {
+                    *out++ = static_cast<std::uint8_t>(sting & 0xFF);
+                    *out++ = static_cast<std::uint8_t>(sting >> 8);
+                    out = StoreVarint(out, count);
+                    std::uint32_t next = 0;  // a_{i-1} + 1
+                    for (const std::uint16_t a : antistings) {
+                      out = StoreVarint(out, a + 1u - next);
+                      next = a + 1u;
+                    }
+                    return out;
+                  });
   }
+  /// Fails the reader (sticky failed()) on a zero delta, an antisting
+  /// past 65,535, a count larger than the bytes left, and a truncated or
+  /// overlong varint. Domain() is not checked here: that is IsValid's
+  /// and Sanitize's job, as for any garbage label.
   static Label Decode(BufReader& r) {
     Label label;
-    label.sting = r.Get<std::uint32_t>();
-    r.GetIntegralRun<std::uint32_t>(label.antistings);
+    Read(r, &label);
     return label;
+  }
+  /// Advance past one encoded label: Decode's walk and checks, with
+  /// nothing stored.
+  static void Skip(BufReader& r) { Read(r, nullptr); }
+
+ private:
+  /// The sorted, deduplicated copy Encode puts on the wire.
+  [[nodiscard]] Label Canonical() const;
+
+  static void Read(BufReader& r, Label* out) {
+    const auto sting = r.Get<std::uint16_t>();
+    const std::uint32_t count = r.GetVarint();
+    if (count > r.remaining()) {  // every delta takes a byte at least
+      r.Fail();
+      return;
+    }
+    if (out != nullptr) {
+      out->sting = sting;
+      out->antistings.resize(count);
+    }
+    std::uint32_t next = 0;  // a_{i-1} + 1
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t delta = r.GetVarint();
+      if (delta == 0 || delta > 0x10000 - next) {
+        r.Fail();
+        return;
+      }
+      next += delta;
+      if (out != nullptr) {
+        out->antistings[i] = static_cast<std::uint16_t>(next - 1);
+      }
+    }
   }
 };
 

@@ -10,6 +10,8 @@ namespace sbft {
 
 LabelingSystem::LabelingSystem(std::uint32_t k) : params_{k} {
   SBFT_ASSERT(k >= 2);
+  // Domain() = 4(k^2 + k) + 1 <= 65,536: stings and antistings are u16.
+  SBFT_ASSERT(k <= 127);
 }
 
 double LabelingSystem::LabelSpaceSize() const {
@@ -22,9 +24,20 @@ double LabelingSystem::LabelSpaceSize() const {
   return m * binom;
 }
 
+namespace {
+
+std::size_t VarintSize(std::uint32_t value) {
+  std::uint8_t bytes[kMaxVarintBytes];
+  return static_cast<std::size_t>(StoreVarint(bytes, value) - bytes);
+}
+
+}  // namespace
+
 std::size_t LabelingSystem::LabelWireSize() const {
-  // sting (4) + length prefix (4) + k antistings (4 each).
-  return 8 + 4 * static_cast<std::size_t>(params_.k);
+  // u16 sting, varint count k, and k deltas, none of which exceeds
+  // Domain() (the first is a_0 + 1 <= Domain(); a later one is smaller).
+  return 2 + VarintSize(params_.k) +
+         params_.k * VarintSize(params_.Domain());
 }
 
 Label LabelingSystem::Next(std::span<const Label> existing,
@@ -111,7 +124,7 @@ Label LabelingSystem::Next(std::span<const Label> existing,
   }
 
   Label next;
-  next.sting = sting;
+  next.sting = static_cast<std::uint16_t>(sting);
   next.antistings.assign(antistings.begin(), antistings.end());
   SBFT_ASSERT(IsValid(next));
   return next;

@@ -12,7 +12,8 @@ namespace sbft {
 
 class LabelingSystem {
  public:
-  /// Precondition: k >= 2 (Definition 2 requires it).
+  /// Precondition: 2 <= k (Definition 2 requires it) and k <= 127
+  /// (labels are u16; see AntistingSet).
   explicit LabelingSystem(std::uint32_t k);
 
   [[nodiscard]] const LabelParams& params() const { return params_; }
@@ -22,7 +23,10 @@ class LabelingSystem {
   /// large k; used only for reporting (bench E4).
   [[nodiscard]] double LabelSpaceSize() const;
 
-  /// Serialized size of one label in bytes (constant for fixed k).
+  /// Upper bound on the serialized size of a valid label, in bytes. A
+  /// label's size varies with the gaps between its antistings
+  /// (Label::Encode); the bound takes each gap at Domain(), which none
+  /// exceeds.
   [[nodiscard]] std::size_t LabelWireSize() const;
 
   /// The precedence relation. Invalid (corrupted) labels are

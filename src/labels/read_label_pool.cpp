@@ -1,14 +1,23 @@
 #include "labels/read_label_pool.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/error.hpp"
 
 namespace sbft {
 
+namespace {
+
+std::uint64_t Bit(ServerIndex server) { return std::uint64_t{1} << server; }
+
+}  // namespace
+
 ReadLabelPool::ReadLabelPool(std::size_t n_servers, std::size_t n_labels)
-    : n_labels_(n_labels),
-      pending_(n_servers, std::vector<bool>(n_labels, false)) {
+    : n_servers_(n_servers), n_labels_(n_labels), pending_(n_labels, 0) {
   SBFT_ASSERT(n_labels >= 2);
   SBFT_ASSERT(n_servers >= 1);
+  SBFT_ASSERT(n_servers <= 64);
 }
 
 ReadLabel ReadLabelPool::PickCandidate() const {
@@ -27,33 +36,34 @@ ReadLabel ReadLabelPool::PickCandidate() const {
 }
 
 void ReadLabelPool::MarkPending(ServerIndex server, ReadLabel label) {
-  SBFT_ASSERT(server < pending_.size());
+  SBFT_ASSERT(server < n_servers_);
   SBFT_ASSERT(label < n_labels_);
-  pending_[server][label] = true;
+  pending_[label] |= Bit(server);
 }
 
 void ReadLabelPool::ClearPending(ServerIndex server, ReadLabel label) {
-  if (server >= pending_.size() || label >= n_labels_) return;  // garbage msg
-  pending_[server][label] = false;
+  if (server >= n_servers_ || label >= n_labels_) return;  // garbage msg
+  pending_[label] &= ~Bit(server);
 }
 
 bool ReadLabelPool::IsPending(ServerIndex server, ReadLabel label) const {
-  SBFT_ASSERT(server < pending_.size());
+  SBFT_ASSERT(server < n_servers_);
   SBFT_ASSERT(label < n_labels_);
-  return pending_[server][label];
+  return (pending_[label] & Bit(server)) != 0;
 }
 
 std::size_t ReadLabelPool::PendingCount(ReadLabel label) const {
   SBFT_ASSERT(label < n_labels_);
-  std::size_t count = 0;
-  for (const auto& row : pending_) count += row[label] ? 1 : 0;
-  return count;
+  return static_cast<std::size_t>(std::popcount(pending_[label]));
 }
 
 void ReadLabelPool::Corrupt(Rng& rng) {
   last_ = static_cast<ReadLabel>(rng());
-  for (auto& row : pending_) {
-    for (std::size_t j = 0; j < row.size(); ++j) row[j] = rng.NextBool(0.5);
+  std::fill(pending_.begin(), pending_.end(), 0);
+  for (ServerIndex server = 0; server < n_servers_; ++server) {
+    for (std::size_t label = 0; label < n_labels_; ++label) {
+      if (rng.NextBool(0.5)) pending_[label] |= Bit(server);
+    }
   }
 }
 

@@ -28,9 +28,10 @@ class ReadLabelPool {
   /// `n_servers` rows by `n_labels` label columns. The paper requires
   /// only n_labels >= 2 (a label different from the last one used must
   /// exist); more labels reduce flush latency after corruption.
+  /// n_servers <= 64: a label's column is one 64-bit mask.
   ReadLabelPool(std::size_t n_servers, std::size_t n_labels);
 
-  [[nodiscard]] std::size_t n_servers() const { return pending_.size(); }
+  [[nodiscard]] std::size_t n_servers() const { return n_servers_; }
   [[nodiscard]] std::size_t n_labels() const { return n_labels_; }
 
   /// Figure 3 line 01: pick a candidate label different from the last
@@ -61,7 +62,8 @@ class ReadLabelPool {
 
   /// Overwrite the whole matrix and `last` with arbitrary bits: models a
   /// transient fault hitting the client. The pool must recover through
-  /// the flush protocol (tested by E8 / find_label tests).
+  /// the flush protocol (tested by E8 / find_label tests). Draws `last`,
+  /// then one bit per (server, label) cell, servers outer.
   void Corrupt(Rng& rng);
 
   /// Clamp out-of-range state (e.g. after Corrupt) so accessors stay
@@ -70,10 +72,13 @@ class ReadLabelPool {
   void SanitizeState();
 
  private:
+  std::size_t n_servers_;
   std::size_t n_labels_;
   ReadLabel last_ = 0;
-  // pending_[server][label]
-  std::vector<std::vector<bool>> pending_;
+  // pending_[label]: bit s set iff server s is pending for the label.
+  // One word per label keeps a column count one popcount, and a whole
+  // pool in one small allocation.
+  std::vector<std::uint64_t> pending_;
 };
 
 }  // namespace sbft

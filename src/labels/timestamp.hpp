@@ -38,6 +38,14 @@ struct Timestamp {
     ts.writer_id = r.Get<ClientId>();
     return ts;
   }
+  /// Advance past one encoded timestamp, failing the reader on exactly
+  /// the bytes Decode rejects: the bounds walk for a reader that keeps
+  /// the bytes encoded (a server's reply prefix, a client's lazily
+  /// decoded REPLY history).
+  static void Skip(BufReader& r) {
+    Label::Skip(r);
+    (void)r.Get<ClientId>();
+  }
 };
 
 /// Precedence on timestamps: label order when the labels are comparable;

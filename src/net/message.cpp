@@ -1,5 +1,6 @@
 #include "net/message.hpp"
 
+#include <algorithm>
 #include <array>
 #include <type_traits>
 
@@ -172,12 +173,43 @@ void ReplyMsg::EncodeInto(BufWriter& w) const {
               [](BufWriter& bw, const WireVersioned& v) { v.EncodeInto(bw); });
   w.Put<OpLabel>(label);
 }
+
+namespace {
+
+// The shortest history entry: an empty value's length prefix, a label
+// with no antistings (u16 sting, one-byte count) and a writer id.
+constexpr std::size_t kMinHistoryEntryBytes = 4 + 3 + 4;
+
+// REPLY's old_vals run: a u32 count, then that many (value, timestamp)
+// entries. Both REPLY decoders frame the run here, so DecodeReplyLazy
+// accepts exactly the frames DecodeMessage does: an entry is decoded
+// into `out` or, when `out` is null, skipped by Timestamp::Skip, which
+// applies Decode's checks. A garbage count needs no cap: neither the
+// reserve nor the walk can outgrow what the frame's bytes can hold.
+std::uint32_t ReadHistory(BufReader& r, std::vector<WireVersioned>* out) {
+  const auto count = r.Get<std::uint32_t>();
+  if (out != nullptr) {
+    out->reserve(
+        std::min<std::size_t>(count, r.remaining() / kMinHistoryEntryBytes));
+  }
+  for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
+    if (out != nullptr) {
+      out->push_back(WireVersioned::DecodeFrom(r));
+    } else {
+      (void)r.GetBytesView();
+      Timestamp::Skip(r);
+    }
+  }
+  return count;
+}
+
+}  // namespace
+
 ReplyMsg ReplyMsg::DecodeFrom(BufReader& r) {
   ReplyMsg m;
   m.value = r.GetBytesView();
   m.ts = Timestamp::Decode(r);
-  m.old_vals = r.GetVector<WireVersioned>(
-      [](BufReader& br) { return WireVersioned::DecodeFrom(br); });
+  (void)ReadHistory(r, &m.old_vals);
   m.label = r.Get<OpLabel>();
   return m;
 }
@@ -507,26 +539,9 @@ std::optional<LazyReplyMsg> DecodeReplyLazy(BytesView frame) {
   LazyReplyMsg m;
   m.value = r.GetBytesView();
   m.ts = Timestamp::Decode(r);
-  // Bounds-walk the old_vals run entry by entry — the same checks
-  // ReplyMsg::DecodeFrom applies, minus materialization. Each entry is
-  // value bytes, a label (sting + antisting run), and a writer id.
   const std::size_t region_begin = r.pos();
-  const auto count = r.Get<std::uint32_t>();
-  if (r.failed() || count > kMaxWireElements) return std::nullopt;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    (void)r.GetBytesView();                    // value
-    (void)r.Get<std::uint32_t>();              // label sting
-    const auto antistings = r.Get<std::uint32_t>();
-    if (r.failed() || antistings > kMaxWireElements ||
-        !r.Skip(static_cast<std::size_t>(antistings) *
-                sizeof(std::uint32_t))) {
-      return std::nullopt;
-    }
-    (void)r.Get<ClientId>();                   // writer id
-    if (r.failed()) return std::nullopt;
-  }
+  m.old_count = ReadHistory(r, nullptr);
   m.old_vals_raw = frame.subspan(region_begin, r.pos() - region_begin);
-  m.old_count = count;
   m.label = r.Get<OpLabel>();
   if (!r.AtEndOk()) return std::nullopt;
   return m;

@@ -138,9 +138,10 @@ struct LazyReplyMsg {
   OpLabel label = 0;
 };
 /// Decode `frame` as a ReplyMsg without materializing old_vals.
-/// Accepts and rejects exactly the frames DecodeMessage would (the
-/// history region is fully bounds-walked); nullopt when the frame is
-/// not a well-formed REPLY.
+/// Accepts and rejects exactly the frames DecodeMessage would: both
+/// frame the history the same way, and each history timestamp is walked
+/// by Timestamp::Skip, which applies Decode's checks. nullopt when the
+/// frame is not a well-formed REPLY.
 [[nodiscard]] std::optional<LazyReplyMsg> DecodeReplyLazy(BytesView frame);
 /// Reader completion notice (Figure 2 lines 12/19).
 struct CompleteReadMsg {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
 
 #include "common/rng.hpp"
@@ -26,6 +27,37 @@ TEST(Serialize, RoundTripsIntegers) {
   EXPECT_EQ(r.Get<std::uint64_t>(), std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(r.Get<std::int32_t>(), -12345);
   EXPECT_TRUE(r.AtEndOk());
+}
+
+TEST(Serialize, VarintsRoundTripAtEveryWidth) {
+  const std::uint32_t values[] = {0,     1,      127,     128,
+                                  16383, 16384,  65535,   65536,
+                                  65537, 1u << 28, 0xFFFFFFFFu};
+  const std::size_t widths[] = {1, 1, 1, 2, 2, 3, 3, 3, 3, 5, 5};
+  BufWriter w;
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    const std::size_t before = w.data().size();
+    w.PutVariable(kMaxVarintBytes, [&](std::uint8_t* out) {
+      return StoreVarint(out, values[i]);
+    });
+    EXPECT_EQ(w.data().size() - before, widths[i]) << values[i];
+  }
+  const Bytes wire = w.Take();
+  BufReader r(wire);
+  for (const std::uint32_t value : values) EXPECT_EQ(r.GetVarint(), value);
+  EXPECT_TRUE(r.AtEndOk());
+}
+
+TEST(Serialize, MalformedVarintsFailSticky) {
+  const Bytes truncated{0x80, 0x81};
+  const Bytes six_bytes{0x80, 0x80, 0x80, 0x80, 0x80, 0x00};
+  const Bytes past_32_bits{0xFF, 0xFF, 0xFF, 0xFF, 0x10};
+  for (const Bytes& bad : {truncated, six_bytes, past_32_bits}) {
+    BufReader r(bad);
+    EXPECT_EQ(r.GetVarint(), 0u);
+    EXPECT_TRUE(r.failed());
+    EXPECT_EQ(r.Get<std::uint8_t>(), 0u);  // sticky
+  }
 }
 
 TEST(Serialize, RoundTripsStringsAndBytes) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <memory>
@@ -277,10 +278,20 @@ struct ServerModel {
     return Timestamp{labels.Sanitize(ts.label), ts.writer_id};
   }
 
+  // A history entry as the wire carries it: the codec sends antistings
+  // sorted and deduplicated, and the history exists only in wire form.
+  [[nodiscard]] static VersionedValue Canonical(VersionedValue vv) {
+    AntistingSet& set = vv.ts.label.antistings;
+    std::sort(set.begin(), set.end());
+    set.erase(std::unique(set.begin(), set.end()), set.end());
+    return vv;
+  }
+
   // Adopt unless strictly older: label precedence first, writer ids for
   // equal or incomparable labels, ties adopt. Adoption pushes the
-  // displaced value with its raw timestamp; rejection pushes the
-  // incoming value with its sanitized one.
+  // displaced value with its raw timestamp, canonical as the wire
+  // carries it; rejection pushes the incoming value with its sanitized
+  // one.
   bool Write(BytesView value, const Timestamp& ts) {
     const Timestamp incoming = Sanitized(ts);
     const Timestamp local = Sanitized(current.ts);
@@ -293,7 +304,7 @@ struct ServerModel {
       adopt = incoming.writer_id >= local.writer_id;
     }
     if (adopt) {
-      old_vals.push_front(current);
+      old_vals.push_front(Canonical(current));
       current = VersionedValue{ToBytes(value), incoming};
     } else {
       old_vals.push_front(VersionedValue{ToBytes(value), incoming});
@@ -316,7 +327,7 @@ struct ServerModel {
       old.value = RandomBytes(rng, 1 + rng.NextBelow(8));
       old.ts.label = RandomGarbageLabel(rng, labels.params());
       old.ts.writer_id = static_cast<ClientId>(rng());
-      old_vals.push_back(std::move(old));
+      old_vals.push_back(Canonical(std::move(old)));
     }
     const auto readers = rng.NextBelow(4);
     for (std::uint64_t i = 0; i < readers; ++i) {
@@ -326,7 +337,8 @@ struct ServerModel {
     return readers;
   }
 
-  // Only the head timestamp is sanitized; history labels go out raw.
+  // Only the head timestamp is sanitized; history labels go out
+  // unsanitized, in canonical order.
   [[nodiscard]] Bytes Reply(OpLabel label) const {
     ReplyMsg reply;
     reply.value = current.value;

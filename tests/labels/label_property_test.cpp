@@ -4,10 +4,12 @@
 // the seed and the offending labels, so a failure here is replayable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "labels/labeling_system.hpp"
 #include "labels/timestamp.hpp"
 
@@ -97,6 +99,79 @@ TEST(LabelProperty, SanitizeIsValidIdempotentAndIdentityOnValid) {
       EXPECT_EQ(system.Sanitize(sanitized), sanitized);
       const Label valid = RandomValidLabel(rng, system.params());
       EXPECT_EQ(system.Sanitize(valid), valid);
+    }
+  }
+}
+
+Label WireRoundTrip(const Label& label) {
+  BufWriter w;
+  label.Encode(w);
+  const Bytes wire = w.Take();
+  BufReader r(wire);
+  Label decoded = Label::Decode(r);
+  EXPECT_TRUE(r.AtEndOk()) << label.ToString();
+  return decoded;
+}
+
+TEST(LabelProperty, WireFormIsInvisibleToSanitize) {
+  // The codec sends antistings sorted and deduplicated, so a garbage
+  // label may come back in another form — but Sanitize, the only way
+  // the protocol uses a label it has not validated, must not tell the
+  // difference: Sanitize(Decode(Encode(x))) == Sanitize(x).
+  Rng rng(2032);
+  for (std::uint32_t k : {2u, 6u, 16u, 31u}) {
+    LabelingSystem system(k);
+    const auto m = static_cast<std::uint16_t>(system.params().Domain());
+    const auto check = [&](const Label& x, const char* what) {
+      EXPECT_EQ(system.Sanitize(WireRoundTrip(x)), system.Sanitize(x))
+          << "k=" << k << " " << what << ": " << x.ToString();
+    };
+    for (int round = 0; round < 2500; ++round) {
+      check(RandomGarbageLabel(rng, system.params()), "random garbage");
+    }
+
+    const Label valid = RandomValidLabel(rng, system.params());
+    Label unsorted = valid;
+    std::reverse(unsorted.antistings.begin(), unsorted.antistings.end());
+    check(unsorted, "unsorted");
+    Label duplicated = valid;
+    duplicated.antistings.push_back(valid.antistings[0]);
+    duplicated.antistings.push_back(valid.antistings[k / 2]);
+    check(duplicated, "duplicated");
+    Label own_sting = valid;
+    own_sting.antistings[1] = valid.sting;
+    check(own_sting, "sting among the antistings");
+    Label too_many = valid;
+    for (std::uint16_t a = 0; too_many.antistings.size() <= k + 3; ++a) {
+      too_many.antistings.push_back(static_cast<std::uint16_t>(m - 1 - a));
+    }
+    check(too_many, "more than k antistings");
+    Label hundreds;
+    hundreds.sting = 9;
+    for (int i = 0; i < 300; ++i) {
+      hundreds.antistings.push_back(
+          static_cast<std::uint16_t>(rng.NextBelow(4 * m)));
+    }
+    check(hundreds, "more than 255 antistings");
+    Label out_of_domain = valid;
+    out_of_domain.sting = static_cast<std::uint16_t>(m + 3);
+    out_of_domain.antistings.back() = 65535;
+    out_of_domain.antistings[0] = m;
+    check(out_of_domain, "values at or past Domain()");
+    check(Label{}, "empty");
+  }
+}
+
+TEST(LabelProperty, ValidLabelsRoundTripExactly) {
+  Rng rng(2033);
+  for (std::uint32_t k : {2u, 6u, 16u, 31u, 127u}) {
+    LabelingSystem system(k);
+    Label chained = system.Initial();
+    for (int round = 0; round < 200; ++round) {
+      const Label random = RandomValidLabel(rng, system.params());
+      EXPECT_EQ(WireRoundTrip(random), random) << "k=" << k;
+      chained = system.Next(std::vector<Label>{chained, random});
+      EXPECT_EQ(WireRoundTrip(chained), chained) << "k=" << k;
     }
   }
 }

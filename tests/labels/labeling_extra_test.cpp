@@ -58,7 +58,8 @@ TEST(LabelingExtra, RepeatedByzantinePressureDoesNotShortenCycle) {
   // within a history-window-sized horizon.
   LabelingSystem system(11);
   Rng rng(7);
-  Label liar{.sting = system.params().Domain() - 1, .antistings = {}};
+  Label liar{.sting = static_cast<std::uint16_t>(system.params().Domain() - 1),
+             .antistings = {}};
   liar = system.Sanitize(liar);
   Label current = system.Initial();
   std::vector<Label> window;

@@ -120,11 +120,13 @@ TEST(LabelingSystem, RejectsKBelowTwo) {
 TEST(LabelingSystem, LabelSpaceIsFiniteAndReported) {
   LabelingSystem small(2);  // m = 25, |L| = 25 * C(24,2) = 6900
   EXPECT_DOUBLE_EQ(small.LabelSpaceSize(), 6900.0);
-  EXPECT_EQ(small.LabelWireSize(), 16u);
+  // u16 sting, a one-byte count and two deltas <= 25 of one byte each.
+  EXPECT_EQ(small.LabelWireSize(), 2u + 1u + 2u * 1u);
 
   LabelingSystem bigger(6);  // m = 169
   EXPECT_GT(bigger.LabelSpaceSize(), small.LabelSpaceSize());
-  EXPECT_EQ(bigger.LabelWireSize(), 8u + 24u);
+  // Six deltas <= 169, which takes a two-byte varint.
+  EXPECT_EQ(bigger.LabelWireSize(), 2u + 1u + 6u * 2u);
 }
 
 TEST(LabelingSystem, NextIsDeterministic) {

@@ -59,6 +59,41 @@ TEST(ReadLabelPool, CorruptThenSanitizeRestoresInvariants) {
   }
 }
 
+TEST(ReadLabelPool, CorruptDrawsLastThenCellsServersOuter) {
+  // The fault injector's draws are part of every seeded scenario, so
+  // Corrupt keeps its order whatever the matrix's layout: `last`, then
+  // one bit per (server, label) cell, servers outer.
+  ReadLabelPool pool(5, 4);
+  Rng rng(2015);
+  pool.Corrupt(rng);
+  Rng replay(2015);
+  EXPECT_EQ(pool.last(), static_cast<ReadLabel>(replay()));
+  std::size_t set = 0;
+  for (ServerIndex server = 0; server < pool.n_servers(); ++server) {
+    for (ReadLabel label = 0; label < pool.n_labels(); ++label) {
+      const bool drawn = replay.NextBool(0.5);
+      EXPECT_EQ(pool.IsPending(server, label), drawn)
+          << "server " << server << " label " << label;
+      set += drawn ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(rng(), replay());  // no draw more, none fewer
+  EXPECT_GT(set, 0u);
+  EXPECT_LT(set, 20u);
+}
+
+TEST(ReadLabelPool, SixtyFourServersFitOneColumn) {
+  ReadLabelPool pool(64, 3);
+  for (ServerIndex server = 0; server < 64; server += 3) {
+    pool.MarkPending(server, 2);
+  }
+  EXPECT_EQ(pool.PendingCount(2), 22u);
+  EXPECT_TRUE(pool.IsPending(63, 2));
+  pool.ClearPending(63, 2);
+  EXPECT_EQ(pool.PendingCount(2), 21u);
+  EXPECT_EQ(pool.PendingCount(1), 0u);
+}
+
 TEST(ReadLabelPool, MinimumPoolOfTwoAlternates) {
   ReadLabelPool pool(1, 2);
   ReadLabel first = pool.PickCandidate();
@@ -72,6 +107,7 @@ TEST(ReadLabelPool, MinimumPoolOfTwoAlternates) {
 TEST(ReadLabelPool, RejectsDegenerateShapes) {
   EXPECT_THROW(ReadLabelPool(0, 2), InvariantViolation);
   EXPECT_THROW(ReadLabelPool(3, 1), InvariantViolation);
+  EXPECT_THROW(ReadLabelPool(65, 2), InvariantViolation);
 }
 
 }  // namespace

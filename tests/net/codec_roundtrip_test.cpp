@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -204,6 +206,142 @@ TEST(CodecRoundTrip, MuxBatchBuilderMatchesGenericEncode) {
     EXPECT_TRUE(builder.empty());
     const Bytes generic = EncodeMessage(Message(std::move(batch)));
     EXPECT_EQ(fast, generic) << "iteration " << i;
+  }
+}
+
+// --- Label codec rejections ------------------------------------------
+//
+// A label is [u16 sting][varint count][count positive delta varints].
+// Each malformed form below must fail the whole frame wherever the
+// label sits: in a WRITE, a TS_REPLY, a REPLY's head and a REPLY's
+// history, the last of which the lazy REPLY decoder only skips.
+
+Bytes LabelBytes(const Label& label) {
+  BufWriter w;
+  label.Encode(w);
+  return w.Take();
+}
+
+// `frame` with the last occurrence of `label`'s encoding replaced by
+// `replacement`; with `end_here`, the frame ends after the replacement.
+Bytes SpliceLabel(const Bytes& frame, const Label& label,
+                  const Bytes& replacement, bool end_here) {
+  const Bytes encoded = LabelBytes(label);
+  const auto at = std::find_end(frame.begin(), frame.end(), encoded.begin(),
+                                encoded.end());
+  EXPECT_NE(at, frame.end());
+  Bytes out(frame.begin(), at);
+  out.insert(out.end(), replacement.begin(), replacement.end());
+  if (!end_here) {
+    out.insert(out.end(), at + std::ssize(encoded), frame.end());
+  }
+  return out;
+}
+
+struct MalformedLabel {
+  const char* name;
+  Bytes bytes;    // sting, count, deltas
+  bool end_here;  // the frame ends inside the label
+};
+
+std::vector<MalformedLabel> MalformedLabels() {
+  return {
+      // Count 2, deltas 5 and 0: a repeated antisting.
+      {"zero delta", {0x07, 0x00, 0x02, 0x05, 0x00}, false},
+      // Deltas 65,536 (antisting 65,535) and 1 (65,536).
+      {"past 65535", {0x07, 0x00, 0x02, 0x80, 0x80, 0x04, 0x01}, false},
+      // A single delta of 65,537 (antisting 65,536).
+      {"first past 65535", {0x07, 0x00, 0x01, 0x81, 0x80, 0x04}, false},
+      // Count 65,535 with far fewer bytes left in the frame.
+      {"count overrun", {0x07, 0x00, 0xFF, 0xFF, 0x03, 0x01}, false},
+      // A delta whose continuation bit runs off the end of the frame.
+      {"truncated varint", {0x07, 0x00, 0x01, 0x81}, true},
+      // A count whose varint continues past five bytes.
+      {"overlong varint",
+       {0x07, 0x00, 0x81, 0x80, 0x80, 0x80, 0x80, 0x00, 0x01},
+       false},
+      // A delta past 32 bits in five bytes.
+      {"varint past 32 bits", {0x07, 0x00, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x1F},
+       false},
+  };
+}
+
+TEST(CodecRoundTrip, MalformedLabelsRejectWholeFrame) {
+  Rng rng(24);
+  LabelingSystem system(16);
+  const Label target = RandomValidLabel(rng, system.params());
+  const Label other = system.Next(std::vector<Label>{target});
+  const Value value{'k', '1', '2', '3', '#', '7'};
+  const Timestamp ts{target, 3};
+  ReplyMsg head_reply;
+  head_reply.value = value;
+  head_reply.ts = ts;
+  head_reply.old_vals = {WireVersioned{value, Timestamp{other, 2}}};
+  head_reply.label = 5;
+  ReplyMsg history_reply = head_reply;
+  history_reply.ts = Timestamp{other, 2};
+  history_reply.old_vals = {WireVersioned{value, Timestamp{other, 2}},
+                            WireVersioned{value, ts}};
+  const std::vector<Message> carriers = {
+      Message(WriteMsg{value, ts, 9}), Message(TsReplyMsg{ts, 7}),
+      Message(head_reply), Message(history_reply)};
+
+  for (const Message& carrier : carriers) {
+    const Bytes frame = EncodeMessage(carrier);
+    ASSERT_TRUE(DecodeMessage(frame).ok()) << MessageTypeName(carrier);
+    const bool is_reply = std::holds_alternative<ReplyMsg>(carrier);
+    if (is_reply) {
+      ASSERT_TRUE(DecodeReplyLazy(frame).has_value());
+    }
+    for (const MalformedLabel& bad : MalformedLabels()) {
+      const Bytes broken = SpliceLabel(frame, target, bad.bytes, bad.end_here);
+      EXPECT_FALSE(DecodeMessage(broken).ok())
+          << MessageTypeName(carrier) << ": " << bad.name;
+      if (is_reply) {
+        EXPECT_FALSE(DecodeReplyLazy(broken).has_value())
+            << MessageTypeName(carrier) << " (lazy): " << bad.name;
+      }
+    }
+    // The splice itself is sound: the label's own bytes decode again.
+    EXPECT_TRUE(
+        DecodeMessage(SpliceLabel(frame, target, LabelBytes(target), false))
+            .ok());
+  }
+}
+
+TEST(CodecRoundTrip, LazyReplyRejectsExactlyWhatFullDecodeRejects) {
+  // The lazy decoder skips history labels that the full decoder
+  // materializes; both must draw the same line between good and bad
+  // frames under truncation, bit flips and label splices.
+  Rng rng(25);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SampleSet samples(seed);
+    const Message& reply = samples.messages()[5];
+    ASSERT_TRUE(std::holds_alternative<ReplyMsg>(reply));
+    Bytes wire = EncodeMessage(reply);
+    const auto agree = [](const Bytes& frame, const std::string& what) {
+      // A flipped tag byte may turn the frame into another message,
+      // which only the full decoder accepts.
+      const auto full = DecodeMessage(frame);
+      const bool full_reply =
+          full.ok() && std::holds_alternative<ReplyMsg>(full.value());
+      EXPECT_EQ(full_reply, DecodeReplyLazy(frame).has_value()) << what;
+    };
+    agree(wire, "intact");
+    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+      agree(Bytes(wire.begin(), wire.begin() + std::ssize(wire) -
+                                    static_cast<std::ptrdiff_t>(cut) - 1),
+            "cut " + std::to_string(cut));
+    }
+    for (std::size_t i = 0; i < wire.size(); ++i) {
+      const std::uint8_t saved = wire[i];
+      for (int flip = 0; flip < 4; ++flip) {
+        wire[i] ^= static_cast<std::uint8_t>(1 + rng.NextBelow(255));
+        agree(wire, "seed " + std::to_string(seed) + " flip at " +
+                        std::to_string(i));
+        wire[i] = saved;
+      }
+    }
   }
 }
 

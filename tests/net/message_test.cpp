@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "labels/labeling_system.hpp"
 
@@ -118,6 +121,38 @@ TEST(MessageCodec, BaselineMessagesRoundTrip) {
   EXPECT_EQ(RoundTrip(NqReadMsg{16}).msg.rid, 16u);
   EXPECT_TRUE(
       SameBytes(RoundTrip(NqReadReplyMsg{17, ts, v3}).msg.value, v3));
+}
+
+TEST(MessageCodec, SixteenServerReplySizes) {
+  // An n = 16 READ reply as a server sends it: the head and a full
+  // 16-entry history of the load driver's short values k123#<i>, under
+  // labels from a solo writer's next() chain. Its 17 labels are most of
+  // the frame: as deltas between sorted antistings each takes about 20
+  // bytes, where u32 fields (8 + 4k = 72 bytes) would make the reply
+  // 1,478 bytes and the TS_REPLY 81.
+  LabelingSystem system(16);
+  std::vector<Value> values;
+  std::vector<Timestamp> stamps;
+  Label label = system.Initial();
+  for (int i = 0; i <= 16; ++i) {
+    label = system.Next(std::vector<Label>{label});
+    const std::string text = "k123#" + std::to_string(i);
+    values.emplace_back(text.begin(), text.end());
+    stamps.push_back(Timestamp{label, static_cast<ClientId>(16 + i % 4)});
+  }
+  ReplyMsg reply;
+  reply.value = values[16];
+  reply.ts = stamps[16];
+  for (int i = 15; i >= 0; --i) {
+    reply.old_vals.push_back(WireVersioned{values[i], stamps[i]});
+  }
+  reply.label = 3;
+  const Bytes wire = EncodeMessage(Message(reply));
+  EXPECT_LE(wire.size(), 620u);
+  EXPECT_EQ(wire.size(), 577u);
+  const Bytes ts_wire = EncodeMessage(Message(TsReplyMsg{stamps[16], 3}));
+  EXPECT_EQ(ts_wire.size(), 28u);
+  EXPECT_EQ(RoundTrip(reply).msg.old_vals, reply.old_vals);
 }
 
 TEST(MessageCodec, MuxNestingIsPossibleButBounded) {
