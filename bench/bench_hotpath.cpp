@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include "bench_json.hpp"
 #include "bench_util.hpp"
@@ -195,6 +196,9 @@ void RunCodec(JsonReport& report, std::uint64_t iters) {
     Bytes frame = EncodeMessage(message);
     auto decoded = DecodeMessage(frame);
     sink += frame.size() + (decoded.ok() ? 1 : 0);
+    // Back to the pool the encoder draws from, as the runtime does after
+    // a send: a dropped frame would make every encode grow a fresh buffer.
+    FramePool().Release(std::move(frame));
   }
   const double elapsed = Now() - t0;
   const AllocSnapshot after = SnapAllocs();

@@ -1,6 +1,6 @@
 // Open-loop adversarial load engine (experiment E12): offered-load
-// sweeps and a scenario matrix against the threaded register cluster,
-// on both transports.
+// sweeps and a scenario matrix against the threaded register cluster
+// over TCP loopback (metric keys keep their "tcp." prefix).
 //
 // Unlike bench_throughput's closed loop (which only ever asks for what
 // the cluster just delivered), every arm here FIXES the offered load:
@@ -21,9 +21,8 @@
 //     how long until reads are provably regular again — the paper's
 //     stabilization guarantee as a latency-style number.
 //
-// Extra flags (on top of bench_json.hpp's): --backend mailbox|tcp
-// restricts the transport; --scenario NAME runs only arms whose name
-// contains NAME (e.g. --scenario corruption).
+// Extra flag (on top of bench_json.hpp's): --scenario NAME runs only
+// arms whose name contains NAME (e.g. --scenario corruption).
 #include <cstring>
 #include <string>
 #include <vector>
@@ -40,26 +39,19 @@ using namespace sbft::bench;
 
 namespace {
 
-struct LoadArgs {
-  std::string backend = "all";    // mailbox | tcp | all
-  std::string scenario_filter;    // substring; empty = all arms
-};
-
-LoadArgs ParseLoadArgs(int argc, char** argv) {
-  LoadArgs args;
+/// The --scenario substring; empty = all arms.
+std::string ParseScenarioFilter(int argc, char** argv) {
+  std::string filter;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      args.backend = argv[++i];
-    } else if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
-      args.scenario_filter = argv[++i];
+    if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
+      filter = argv[++i];
     }
   }
-  return args;
+  return filter;
 }
 
-bool Wanted(const LoadArgs& args, const std::string& name) {
-  return args.scenario_filter.empty() ||
-         name.find(args.scenario_filter) != std::string::npos;
+bool Wanted(const std::string& filter, const std::string& name) {
+  return filter.empty() || name.find(filter) != std::string::npos;
 }
 
 /// A sweep point is sustained when (almost) everything scheduled came
@@ -116,27 +108,22 @@ std::size_t CheckHistory(const load::LoadResult& result) {
   return report.violations.size();
 }
 
-void RunSweep(JsonReport& report, const LoadArgs& args, bool use_tcp) {
-  const std::string backend = use_tcp ? "tcp" : "mailbox";
-  if (!Wanted(args, backend + ".sweep")) return;
+void RunSweep(JsonReport& report, const std::string& filter) {
+  if (!Wanted(filter, "tcp.sweep")) return;
   // Rates chosen to bracket one-core capacity from below: every point
   // is sustainable on the baseline machine, so the gated trajectory
   // asserts "the whole sweep stays sustained" (saturation_frac = 1)
   // and the latency curve shows the approach to the knee.
-  const std::vector<double> rates = use_tcp
-                                        ? std::vector<double>{250, 500, 1000}
-                                        : std::vector<double>{500, 1000, 2000,
-                                                              4000};
+  const std::vector<double> rates = {250, 500, 1000};
   const std::uint64_t duration_us = report.smoke() ? 300'000 : 1'500'000;
 
   std::size_t sustained = 0;
   double saturation_rate = 0;
   for (std::size_t i = 0; i < rates.size(); ++i) {
-    load::Scenario scenario =
+    const load::Scenario scenario =
         load::BaselineScenario(rates[i], duration_us, 11 + i);
-    scenario.use_tcp = use_tcp;
     const load::LoadResult result = load::RunOpenLoop(scenario);
-    const std::string key = backend + ".sweep.p" + std::to_string(i);
+    const std::string key = "tcp.sweep.p" + std::to_string(i);
     PointRow(key, rates[i], result);
     CommonMetrics(report, key, rates[i], result);
     if (Sustained(result, rates[i])) {
@@ -147,24 +134,22 @@ void RunSweep(JsonReport& report, const LoadArgs& args, bool use_tcp) {
   // Saturation point: the highest offered rate the cluster sustained
   // (a lower bound when even the top point held). saturation_frac is
   // the scale-invariant, gated form.
-  report.Metric(backend + ".sweep.saturation_frac",
+  report.Metric("tcp.sweep.saturation_frac",
                 static_cast<double>(sustained) /
                     static_cast<double>(rates.size()),
                 "frac");
-  report.Metric(backend + ".sweep.saturation_ops_per_sec", saturation_rate,
+  report.Metric("tcp.sweep.saturation_ops_per_sec", saturation_rate,
                 "ops/s");
   Row("%-22s sustained %zu/%zu points, saturation >= %.0f ops/s",
-      (backend + ".sweep").c_str(), sustained, rates.size(),
-      saturation_rate);
+      "tcp.sweep", sustained, rates.size(), saturation_rate);
 }
 
-void RunScenarioArms(JsonReport& report, const LoadArgs& args, bool use_tcp) {
-  const std::string backend = use_tcp ? "tcp" : "mailbox";
+void RunScenarioArms(JsonReport& report, const std::string& filter) {
   const std::uint64_t duration_us = report.smoke() ? 400'000 : 2'000'000;
 
-  // Rates per arm sit well under either transport's one-core capacity:
-  // these arms measure traffic SHAPE effects and checker verdicts, not
-  // the saturation knee (the sweep above does that).
+  // Rates per arm sit well under one-core capacity: these arms measure
+  // traffic SHAPE effects and checker verdicts, not the saturation
+  // knee (the sweep above does that).
   std::vector<load::Scenario> arms;
   arms.push_back(load::ZipfHotScenario(400, duration_us, 21));
   arms.push_back(load::FlashCrowdScenario(200, duration_us, 22));
@@ -173,10 +158,9 @@ void RunScenarioArms(JsonReport& report, const LoadArgs& args, bool use_tcp) {
                                         24));
   arms.push_back(load::CorruptionScenario(300, duration_us, 25));
 
-  for (load::Scenario& scenario : arms) {
-    scenario.use_tcp = use_tcp;
-    const std::string key = backend + "." + scenario.name;
-    if (!Wanted(args, key)) continue;
+  for (const load::Scenario& scenario : arms) {
+    const std::string key = "tcp." + scenario.name;
+    if (!Wanted(filter, key)) continue;
     const load::LoadResult result = load::RunOpenLoop(scenario);
     const double offered = scenario.phases.empty()
                                ? scenario.rate_ops_per_sec
@@ -219,21 +203,19 @@ void RunScenarioArms(JsonReport& report, const LoadArgs& args, bool use_tcp) {
   }
 }
 
-/// Sharded-deployment arms (E15, tcp only — the transport the CI
-/// smoke leg gates): a G=2 offered-load sweep and the live-growth
-/// scenario. Regularity is gated at zero violations on every arm;
-/// throughput stays advisory like everywhere else.
-void RunShardedArms(JsonReport& report, const LoadArgs& args) {
+/// Sharded-deployment arms (E15): a G=2 offered-load sweep and the
+/// live-growth scenario. Regularity is gated at zero violations on
+/// every arm; throughput stays advisory like everywhere else.
+void RunShardedArms(JsonReport& report, const std::string& filter) {
   const std::uint64_t duration_us = report.smoke() ? 300'000 : 1'500'000;
 
-  if (Wanted(args, "tcp.g2.sweep")) {
+  if (Wanted(filter, "tcp.g2.sweep")) {
     const std::vector<double> rates = {250, 500};
     std::size_t sustained = 0;
     double saturation_rate = 0;
     for (std::size_t i = 0; i < rates.size(); ++i) {
-      load::Scenario scenario =
+      const load::Scenario scenario =
           load::ShardedScenario(2, rates[i], duration_us, 31 + i);
-      scenario.use_tcp = true;
       const load::LoadResult result = load::RunOpenLoop(scenario);
       const std::string key = "tcp.g2.sweep.p" + std::to_string(i);
       PointRow(key, rates[i], result);
@@ -259,9 +241,9 @@ void RunShardedArms(JsonReport& report, const LoadArgs& args) {
   // AddGroup installs the next shard-map epoch under traffic. The
   // per-key checker must pass straight through the bump — the
   // drain-and-handoff read anchor is what's under test.
-  if (Wanted(args, "tcp.g2_migrate")) {
-    load::Scenario scenario = load::MigrateScenario(250, duration_us, 35);
-    scenario.use_tcp = true;
+  if (Wanted(filter, "tcp.g2_migrate")) {
+    const load::Scenario scenario =
+        load::MigrateScenario(250, duration_us, 35);
     const load::LoadResult result = load::RunOpenLoop(scenario);
     const std::string key = "tcp.g2_migrate";
     PointRow(key, scenario.rate_ops_per_sec, result);
@@ -287,18 +269,14 @@ void RunShardedArms(JsonReport& report, const LoadArgs& args) {
 
 int main(int argc, char** argv) {
   JsonReport report("load", ParseBenchArgs(argc, argv));
-  const LoadArgs load_args = ParseLoadArgs(argc, argv);
+  const std::string filter = ParseScenarioFilter(argc, argv);
   Header("E12", "open-loop adversarial load (offered vs sustained)");
   Row("%-22s %-9s | %-9s %-6s %-8s %-8s %-8s %-6s %-6s", "arm", "offered",
       "ok/s", "compl", "p50 us", "p99 us", "max us", "abort", "lost");
 
-  for (const bool use_tcp : {false, true}) {
-    const std::string backend = use_tcp ? "tcp" : "mailbox";
-    if (load_args.backend != "all" && load_args.backend != backend) continue;
-    RunSweep(report, load_args, use_tcp);
-    RunScenarioArms(report, load_args, use_tcp);
-    if (use_tcp) RunShardedArms(report, load_args);
-  }
+  RunSweep(report, filter);
+  RunScenarioArms(report, filter);
+  RunShardedArms(report, filter);
 
   Row("%s", "\nexpected shape: p99 grows with offered load and explodes "
             "past the knee (completed_frac < 1 marks overload); Zipf and "

@@ -1,12 +1,11 @@
 // E7/E15: wall-clock throughput and latency on the threaded runtime
-// (real OS threads; in-process mailboxes vs TCP loopback), n sweep,
-// logical-client sweep, and sharded scale-out arms. This is the
-// "threads/sockets" arm of the reproduction — absolute numbers are
-// machine-dependent; the shapes to check are the mailbox-vs-TCP gap,
-// the linear-in-n message cost showing up as latency, throughput
-// scaling with pipelined clients, and (g<G>.* arms) aggregate
-// throughput across G independent register groups behind the
-// consistent-hash router.
+// (real OS threads, TCP loopback; metric keys keep their "tcp" part),
+// n sweep, logical-client sweep, and sharded scale-out arms. This is
+// the "threads/sockets" arm of the reproduction — absolute numbers are
+// machine-dependent; the shapes to check are the linear-in-n message
+// cost showing up as latency, throughput scaling with pipelined
+// clients, and (g<G>.* arms) aggregate throughput across G independent
+// register groups behind the consistent-hash router.
 //
 // Every arm drives the serving path — ShardedCluster (G >= 1 groups),
 // each group's MuxClient node hosting all its logical clients as
@@ -18,9 +17,8 @@
 // callback-to-injection gap is part of the next op's latency rather
 // than silently omitted (the coordinated-omission trap: stamping at
 // send time lets a stalled client under-report exactly when the
-// system is slow). p50/p99 therefore include queueing and are
-// comparable across the mailbox and tcp transports, and come from the
-// shared log-linear histogram (load/histogram.hpp, ~3% worst-case
+// system is slow). p50/p99 therefore include queueing, and come from
+// the shared log-linear histogram (load/histogram.hpp, ~3% worst-case
 // quantization), whose math tests/load/histogram_test.cpp pins down.
 //
 // Every arm also records the full operation history and runs the
@@ -60,7 +58,7 @@ struct Numbers {
   /// Thread-CPU microseconds inside automaton dispatch per completed
   /// op, summed over all node threads (ThreadCluster::protocol_cpu_ns):
   /// the protocol-floor observable, with mailbox waits and socket
-  /// syscalls excluded. Comparable across transports.
+  /// syscalls excluded.
   double protocol_cpu_us_per_op = 0;
   /// Per-key regular-register violations over the recorded history.
   long regular_violations = 0;
@@ -193,11 +191,10 @@ class ClosedLoop {
 /// the op budget completed — the live scale-out measurement. Records
 /// the history and runs the per-key checker.
 Numbers RunShardedArm(std::uint32_t n, std::size_t groups,
-                      std::size_t n_clients, bool use_tcp,
-                      int pairs_per_client, bool migrate) {
+                      std::size_t n_clients, int pairs_per_client,
+                      bool migrate) {
   ShardedCluster::Options options;
   options.group.config = ProtocolConfig::ForServers(n);
-  options.group.use_tcp = use_tcp;
   options.group.n_clients = n_clients;
   options.n_groups = migrate ? 1 : groups;
   ShardedCluster cluster(options);
@@ -262,15 +259,14 @@ Numbers RunShardedArm(std::uint32_t n, std::size_t groups,
 /// Pairs per logical client: a fixed total-op budget divided across
 /// clients (clamped), so sweeps finish in bounded wall-clock while the
 /// big-c points still run thousands of ops.
-int PairsFor(bool use_tcp, std::size_t n_clients, bool smoke) {
-  const int budget = smoke ? (use_tcp ? 64 : 96) : (use_tcp ? 1024 : 1536);
-  const int cap = smoke ? 24 : (use_tcp ? 128 : 192);
+int PairsFor(std::size_t n_clients, bool smoke) {
+  const int budget = smoke ? 64 : 1024;
+  const int cap = smoke ? 24 : 128;
   const int floor = smoke ? 2 : 8;
   return std::clamp(budget / static_cast<int>(n_clients), floor, cap);
 }
 
 struct Point {
-  bool use_tcp;
   std::uint32_t n;
   std::size_t clients;
   std::size_t groups = 1;
@@ -286,8 +282,7 @@ std::string KeyFor(const Point& point) {
   } else if (point.groups > 1) {
     key += "g" + std::to_string(point.groups) + ".";
   }
-  key += point.use_tcp ? "tcp" : "mailbox";
-  key += ".n" + std::to_string(point.n);
+  key += "tcp.n" + std::to_string(point.n);
   key += ".c" + std::to_string(point.clients);
   return key;
 }
@@ -305,26 +300,20 @@ int main(int argc, char** argv) {
   auto add = [&](const Point& point) {
     if (seen.insert(KeyFor(point)).second) points.push_back(point);
   };
-  // Legacy trajectory points: n sweep at low client counts.
-  for (std::uint32_t n : {6u, 11u, 16u}) {
-    add({false, n, 1});
-    add({false, n, 2});
-  }
-  // TCP arm kept small at c=1: sockets * n^2 on one box. n=16 is the
+  // n sweep, kept small at c=1: sockets * n^2 on one box. n=16 is the
   // worst case the trajectory tracks (256 sockets, the paper's largest
   // sweep point); its failed count guards against accept-backlog drops.
   for (std::uint32_t n : {6u, 11u, 16u}) {
-    add({true, n, 1});
+    add({n, 1});
   }
 
   // High-concurrency sweep at n=16: pipelined logical clients sharing
-  // MuxBatch rounds and one node-level FLUSH per window, both transports.
+  // MuxBatch rounds and one node-level FLUSH per window.
   const std::vector<std::size_t> sweep =
       report.clients().empty() ? std::vector<std::size_t>{1, 8, 64, 256}
                                : report.clients();
   for (std::size_t clients : sweep) {
-    add({false, 16, clients});
-    add({true, 16, clients});
+    add({16, clients});
   }
   // Sharded scale-out arms (metric prefix "g<G>."): EQUAL total
   // clients spread over G independent groups — the E15 G-scaling
@@ -332,26 +321,24 @@ int main(int argc, char** argv) {
   // On a single-core box these measure router + composition overhead
   // (every group's node threads timeshare one core); linear aggregate
   // scaling needs one core per group's worth of protocol work.
-  add({true, 16, 256, /*groups=*/2});
-  add({true, 16, 256, /*groups=*/4});
-  add({false, 16, 256, /*groups=*/4});
+  add({16, 256, /*groups=*/2});
+  add({16, 256, /*groups=*/4});
   // Live growth arm ("g2.migrate."): starts at one group, adds the
   // second at half the op budget; the per-key checker must pass
   // straight through the epoch bump.
-  add({true, 16, 64, /*groups=*/2, /*migrate=*/true});
+  add({16, 64, /*groups=*/2, /*migrate=*/true});
 
   for (const Point& point : points) {
     const std::string key = KeyFor(point);
     if (!report.WantArm(key)) continue;
-    const int pairs = PairsFor(point.use_tcp, point.clients, report.smoke());
+    const int pairs = PairsFor(point.clients, report.smoke());
     const Numbers numbers = RunShardedArm(point.n, point.groups, point.clients,
-                                          point.use_tcp, pairs, point.migrate);
+                                          pairs, point.migrate);
     const std::string label =
         key.substr(0, key.rfind(".n" + std::to_string(point.n)));
     Row("%-4u %-8zu %-22s | %-12.0f %-10.0f %-10.0f %-7ld", point.n,
-        point.clients,
-        (label.empty() ? (point.use_tcp ? "tcp" : "mailbox") : label).c_str(),
-        numbers.ops_per_sec, numbers.p50_us, numbers.p99_us, numbers.failed);
+        point.clients, label.c_str(), numbers.ops_per_sec, numbers.p50_us,
+        numbers.p99_us, numbers.failed);
     report.Metric(key + ".ops_per_sec", numbers.ops_per_sec, "ops/s");
     report.Metric(key + ".p50_us", numbers.p50_us, "us");
     report.Metric(key + ".p99_us", numbers.p99_us, "us");

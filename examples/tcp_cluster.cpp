@@ -16,7 +16,6 @@ using namespace sbft;
 int main() {
   ShardedCluster::Options options;
   options.group.config = ProtocolConfig::ForServers(6);
-  options.group.use_tcp = true;
   options.group.byzantine[1] = ByzantineStrategy::kStaleReplay;
   ShardedCluster cluster(options);
   cluster.Start();

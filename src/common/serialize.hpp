@@ -9,7 +9,6 @@
 // counts and deltas (labels/bounded_label.hpp).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -185,39 +184,26 @@ class BufReader {
     return std::string(raw.begin(), raw.end());
   }
 
+  /// A u32 count, then that many elements read by `decode_one`, each
+  /// at least `min_bytes` (>= 1) long on the wire. A count the bytes
+  /// left cannot hold fails the reader at once: those elements would
+  /// run out of bytes anyway, so this rejects no frame the element walk
+  /// accepts, and a garbage count allocates nothing. Otherwise the
+  /// reserve is exactly `count` elements.
   template <typename T, typename Fn>
-  std::vector<T> GetVector(Fn&& decode_one) {
+  std::vector<T> GetVector(std::size_t min_bytes, Fn&& decode_one) {
     const auto count = Get<std::uint32_t>();
-    if (failed_ || count > kMaxWireElements) {
+    if (failed_ || count > kMaxWireElements ||
+        count > remaining() / min_bytes) {
       failed_ = true;
       return {};
     }
     std::vector<T> out;
-    // Cap the speculative reserve by the bytes actually left: every
-    // element consumes at least one byte in every codec, so a garbage
-    // length can never force an allocation larger than the frame.
-    out.reserve(std::min<std::size_t>(count, remaining()));
+    out.reserve(count);
     for (std::uint32_t i = 0; i < count && !failed_; ++i) {
       out.push_back(decode_one(*this));
     }
     return out;
-  }
-
-  /// GetVector into a caller-supplied container (anything with clear/
-  /// reserve/push_back) — lets decoders fill inline-storage containers
-  /// without a std::vector round trip.
-  template <typename C, typename Fn>
-  void GetInto(C& out, Fn&& decode_one) {
-    out.clear();
-    const auto count = Get<std::uint32_t>();
-    if (failed_ || count > kMaxWireElements) {
-      failed_ = true;
-      return;
-    }
-    out.reserve(std::min<std::size_t>(count, remaining()));
-    for (std::uint32_t i = 0; i < count && !failed_; ++i) {
-      out.push_back(decode_one(*this));
-    }
   }
 
   /// A varint as StoreVarint writes it. Fails the reader on a

@@ -265,7 +265,8 @@ std::vector<VersionedValue> RegisterServer::old_vals() const {
   std::vector<VersionedValue> history;
   if (reply_prefix_.empty()) return history;
   BufReader r(BytesView(reply_prefix_).subspan(HistoryOffset(reply_prefix_)));
-  const auto entries = r.GetVector<WireVersioned>(WireVersioned::DecodeFrom);
+  const auto entries = r.GetVector<WireVersioned>(
+      WireVersioned::kMinWireBytes, WireVersioned::DecodeFrom);
   for (const WireVersioned& v : entries) history.push_back(ToOwned(v));
   SBFT_ASSERT(r.AtEndOk());
   return history;

@@ -266,35 +266,38 @@ Result<Scenario> DecodeToken(const std::string& token) {
   s.n_clients = r.Get<std::uint32_t>();
   s.delay_lo = r.Get<std::uint64_t>();
   s.delay_hi = r.Get<std::uint64_t>();
-  s.slowdowns = r.GetVector<ChannelSlowdown>([](BufReader& br) {
-    ChannelSlowdown slow;
-    slow.client = br.Get<std::uint32_t>();
-    slow.server = br.Get<std::uint32_t>();
-    slow.client_to_server = br.Get<std::uint8_t>() != 0;
-    slow.delay = br.Get<std::uint64_t>();
-    return slow;
-  });
-  s.byz_servers = r.GetVector<ByzantineServerSpec>([](BufReader& br) {
+  // Each spec has a fixed wire size, which is GetVector's minimum.
+  s.slowdowns = r.GetVector<ChannelSlowdown>(
+      4 + 4 + 1 + 8, [](BufReader& br) {
+        ChannelSlowdown slow;
+        slow.client = br.Get<std::uint32_t>();
+        slow.server = br.Get<std::uint32_t>();
+        slow.client_to_server = br.Get<std::uint8_t>() != 0;
+        slow.delay = br.Get<std::uint64_t>();
+        return slow;
+      });
+  s.byz_servers = r.GetVector<ByzantineServerSpec>(4 + 1, [](BufReader& br) {
     ByzantineServerSpec spec;
     spec.server = br.Get<std::uint32_t>();
     spec.strategy = br.Get<ByzantineStrategy>();
     return spec;
   });
-  s.byz_clients = r.GetVector<ByzantineClientSpec>([](BufReader& br) {
+  s.byz_clients = r.GetVector<ByzantineClientSpec>(1 + 4, [](BufReader& br) {
     ByzantineClientSpec spec;
     spec.strategy = br.Get<ByzantineClientStrategy>();
     spec.rounds = br.Get<std::uint32_t>();
     return spec;
   });
-  s.faults = r.GetVector<FaultInjection>([](BufReader& br) {
-    FaultInjection fault;
-    fault.kind = br.Get<FaultKind>();
-    fault.at = br.Get<std::uint64_t>();
-    fault.a = br.Get<std::uint32_t>();
-    fault.b = br.Get<std::uint32_t>();
-    fault.count = br.Get<std::uint32_t>();
-    return fault;
-  });
+  s.faults = r.GetVector<FaultInjection>(
+      1 + 8 + 4 + 4 + 4, [](BufReader& br) {
+        FaultInjection fault;
+        fault.kind = br.Get<FaultKind>();
+        fault.at = br.Get<std::uint64_t>();
+        fault.a = br.Get<std::uint32_t>();
+        fault.b = br.Get<std::uint32_t>();
+        fault.count = br.Get<std::uint32_t>();
+        return fault;
+      });
   s.ops_per_client = r.Get<std::uint32_t>();
   s.write_percent = r.Get<std::uint32_t>();
   s.max_think_time = r.Get<std::uint64_t>();

@@ -13,6 +13,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// After the last scheduled arrival, wait at most this long for
+/// in-flight and queued operations to finish.
+constexpr std::uint64_t kDrainTimeoutUs = 10'000'000;
+
 OpRecord::Result MapStatus(OpStatus status) {
   switch (status) {
     case OpStatus::kOk:
@@ -242,7 +246,7 @@ LoadResult Engine::Run() {
   cluster_.Start();
   start_ = Clock::now();
   Pace();
-  const std::uint64_t deadline = NowUs() + scenario_.drain_timeout_us;
+  const std::uint64_t deadline = NowUs() + kDrainTimeoutUs;
 
   LoadResult result;
   {

@@ -56,7 +56,6 @@ Value ValueFor(const ScheduledOp& op) {
 ShardedCluster::Options ShardedOptionsFor(const Scenario& scenario) {
   ShardedCluster::Options options;
   options.group.config = ProtocolConfig::ForServers(scenario.n_servers);
-  options.group.use_tcp = scenario.use_tcp;
   options.group.n_clients = scenario.n_keys;
   options.group.seed = scenario.seed;
   options.group.shaping = scenario.shaping;

@@ -35,7 +35,6 @@ struct CorruptionSpec {
 struct Scenario {
   std::string name = "baseline";
   std::uint32_t n_servers = 6;
-  bool use_tcp = false;
   /// Logical keys; each is its own mux register of the deployment
   /// (ShardedCluster maps key k to register k + 1 of its group).
   std::size_t n_keys = 32;
@@ -63,9 +62,6 @@ struct Scenario {
   /// drain-and-handoff.
   std::uint64_t group_add_at_us = 0;
   std::uint64_t seed = 1;
-  /// After the last scheduled arrival, wait at most this long for
-  /// in-flight and queued operations to finish.
-  std::uint64_t drain_timeout_us = 10'000'000;
 
   [[nodiscard]] std::uint64_t TotalDurationUs() const {
     return phases.empty() ? duration_us : ProfileDurationUs(phases);
@@ -89,8 +85,8 @@ struct ScheduledOp {
 [[nodiscard]] Value ValueFor(const ScheduledOp& op);
 
 /// Deployment options matching a scenario: `n_groups` groups of
-/// `n_servers` servers serving `n_keys` keys, with its transport,
-/// shaping and seed (n_groups = 1 is the single-group deployment).
+/// `n_servers` servers serving `n_keys` keys, with its shaping and
+/// seed (n_groups = 1 is the single-group deployment).
 [[nodiscard]] ShardedCluster::Options ShardedOptionsFor(
     const Scenario& scenario);
 

@@ -176,10 +176,6 @@ void ReplyMsg::EncodeInto(BufWriter& w) const {
 
 namespace {
 
-// The shortest history entry: an empty value's length prefix, a label
-// with no antistings (u16 sting, one-byte count) and a writer id.
-constexpr std::size_t kMinHistoryEntryBytes = 4 + 3 + 4;
-
 // REPLY's old_vals run: a u32 count, then that many (value, timestamp)
 // entries. Both REPLY decoders frame the run here, so DecodeReplyLazy
 // accepts exactly the frames DecodeMessage does: an entry is decoded
@@ -189,8 +185,8 @@ constexpr std::size_t kMinHistoryEntryBytes = 4 + 3 + 4;
 std::uint32_t ReadHistory(BufReader& r, std::vector<WireVersioned>* out) {
   const auto count = r.Get<std::uint32_t>();
   if (out != nullptr) {
-    out->reserve(
-        std::min<std::size_t>(count, r.remaining() / kMinHistoryEntryBytes));
+    out->reserve(std::min<std::size_t>(
+        count, r.remaining() / WireVersioned::kMinWireBytes));
   }
   for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
     if (out != nullptr) {
@@ -440,8 +436,7 @@ void MuxBatchMsg::EncodeInto(BufWriter& w) const {
 }
 MuxBatchMsg MuxBatchMsg::DecodeFrom(BufReader& r) {
   MuxBatchMsg m;
-  m.items =
-      r.GetVector<MuxItem>([](BufReader& br) { return MuxItem::DecodeFrom(br); });
+  m.items = r.GetVector<MuxItem>(MuxItem::kMinWireBytes, MuxItem::DecodeFrom);
   return m;
 }
 
@@ -464,8 +459,8 @@ void NodeFlushMsg::EncodeInto(BufWriter& w) const {
 }
 NodeFlushMsg NodeFlushMsg::DecodeFrom(BufReader& r) {
   NodeFlushMsg m;
-  m.items = r.GetVector<FlushItem>(
-      [](BufReader& br) { return FlushItem::DecodeFrom(br); });
+  m.items =
+      r.GetVector<FlushItem>(FlushItem::kWireBytes, FlushItem::DecodeFrom);
   return m;
 }
 
@@ -475,8 +470,8 @@ void NodeFlushAckMsg::EncodeInto(BufWriter& w) const {
 }
 NodeFlushAckMsg NodeFlushAckMsg::DecodeFrom(BufReader& r) {
   NodeFlushAckMsg m;
-  m.items = r.GetVector<FlushItem>(
-      [](BufReader& br) { return FlushItem::DecodeFrom(br); });
+  m.items =
+      r.GetVector<FlushItem>(FlushItem::kWireBytes, FlushItem::DecodeFrom);
   return m;
 }
 

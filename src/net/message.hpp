@@ -46,6 +46,10 @@ struct VersionedValue {
 /// The same pair as it crosses the wire inside REPLY: the value borrows
 /// either the sender's state (encode) or the frame (decode).
 struct WireVersioned {
+  /// The shortest entry: an empty value's length prefix, a label with
+  /// no antistings (u16 sting, one-byte count) and a writer id.
+  static constexpr std::size_t kMinWireBytes = 4 + 3 + 4;
+
   BytesView value;
   Timestamp ts;
 
@@ -306,6 +310,9 @@ struct NqReadReplyMsg {
 /// host many independent registers (core/mux.hpp). The identifier is
 /// typically a 64-bit key hash; the inner frame is a view.
 struct MuxItem {
+  /// A register id and an empty inner frame's length prefix.
+  static constexpr std::size_t kMinWireBytes = 8 + 4;
+
   std::uint64_t register_id = 0;
   BytesView inner;
 
@@ -336,6 +343,9 @@ struct MuxBatchMsg {
 /// (docs/ARCHITECTURE.md, "Shared FLUSH rounds"): the label the register
 /// is about to use and the pool it drains.
 struct FlushItem {
+  /// Register id, label and scope: every item has this size.
+  static constexpr std::size_t kWireBytes = 8 + 4 + 1;
+
   std::uint64_t register_id = 0;
   OpLabel label = 0;
   OpScope scope = OpScope::kRead;

@@ -35,7 +35,7 @@ thread_local NodeId tls_node = kNoNode;
 
 // Endpoint bound to one node of the threaded cluster. Called only from
 // the node's own thread (handlers, OnStart hooks and posted tasks all
-// run inside NodeLoop) — which the TCP transport requires, since that
+// run inside NodeLoop) — which the transport requires, since that
 // thread owns the node's sockets.
 class ThreadCluster::Endpoint final : public IEndpoint {
  public:
@@ -43,11 +43,14 @@ class ThreadCluster::Endpoint final : public IEndpoint {
       : cluster_(cluster), id_(id), rng_(rng) {}
 
   void Send(NodeId dst, Bytes frame) override {
-    cluster_.Deliver(id_, dst, std::move(frame));
+    cluster_.tcp_.Send(id_, dst, frame);
+    FramePool().Release(std::move(frame));
   }
 
   void Broadcast(std::span<const NodeId> dsts, Bytes frame) override {
-    cluster_.DeliverBroadcast(id_, dsts, std::move(frame));
+    // One encode, one socket write per destination, zero frame copies.
+    for (const NodeId dst : dsts) cluster_.tcp_.Send(id_, dst, frame);
+    FramePool().Release(std::move(frame));
   }
 
   void SetTimer(VirtualTime delay, int timer_id) override {
@@ -104,29 +107,22 @@ class ThreadCluster::Endpoint final : public IEndpoint {
 ThreadCluster::ThreadCluster(Options options) : options_(options) {
   if (options_.shaping.enabled()) {
     shaper_ = std::make_unique<LinkShaper>(
-        options_.shaping, [this](NodeId src, NodeId dst, Frame frame) {
+        options_.shaping, options_.seed,
+        [this](NodeId src, NodeId dst, Frame frame) {
           PushFrame(src, dst, std::move(frame));
         });
   }
-  if (options_.use_tcp) tcp_ = std::make_unique<TcpBus>();
 }
 
 void ThreadCluster::PushFrame(NodeId src, NodeId dst, Frame frame) {
-  if (dst >= mailboxes_.size()) return;
   mailboxes_[dst]->Push(MailItem{src, std::move(frame), nullptr});
-}
-
-bool ThreadCluster::Shape(NodeId src, NodeId dst, Frame& frame) {
-  // Offer leaves `frame` intact when it declines (returns false), so
-  // the caller can continue down the direct-delivery path.
-  return shaper_ && shaper_->Offer(src, dst, std::move(frame));
 }
 
 ThreadCluster::~ThreadCluster() {
   Stop();
   // The sockets leave their epoll sets before the sets close (Stop
   // skips the transport when the cluster never started).
-  if (tcp_) tcp_->Stop();
+  tcp_.Stop();
   for (const int epoll_fd : epoll_fds_) ::close(epoll_fd);
 }
 
@@ -145,7 +141,7 @@ NodeId ThreadCluster::AddNode(std::unique_ptr<Automaton> automaton) {
   mailbox_event.data.ptr = nullptr;  // the mailbox; sockets carry theirs
   SBFT_ASSERT(::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, mailboxes_[id]->wake_fd(),
                           &mailbox_event) == 0);
-  if (tcp_) tcp_->AddNode(id, epoll_fd);
+  tcp_.AddNode(id, epoll_fd);
   return id;
 }
 
@@ -153,7 +149,7 @@ void ThreadCluster::Start() {
   SBFT_ASSERT(!started_);
   started_ = true;
   if (shaper_) shaper_->Start();
-  if (tcp_) tcp_->Start();
+  tcp_.Start();
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     threads_.emplace_back([this, id] { NodeLoop(id); });
   }
@@ -187,17 +183,19 @@ void ThreadCluster::NodeLoop(NodeId id) {
     cpu_start = ThreadCpuNs();
     // Bracket the wakeup so the node can coalesce everything it sends
     // in response (protocol-round batching seam — one wakeup, one
-    // shared round; shared by the mailbox and TCP paths).
+    // shared round, whether the frames came off the sockets or, shaped,
+    // through the mailbox).
     automaton.OnBatchStart(endpoint);
   };
   const TcpBus::FrameFn on_frame = [&](NodeId src, BytesView frame) {
     if (shaper_) {
       // Only the shaper needs an owned copy; otherwise the frame is
       // dispatched in place, from the connection's receive buffer.
+      // Offer leaves `owned` intact when it declines (zero delay drawn).
       Bytes copy = FramePool().Acquire();
       copy.assign(frame.begin(), frame.end());
       Frame owned(std::move(copy));
-      if (Shape(src, id, owned)) return;
+      if (shaper_->Offer(src, id, std::move(owned))) return;
       owned.Recycle(FramePool());
     }
     open_batch();
@@ -231,7 +229,7 @@ void ThreadCluster::NodeLoop(NodeId id) {
       if (event.data.ptr == nullptr) {
         mailbox.ConsumeWake();
       } else {
-        tcp_->OnEvent(event.data.ptr, event.events);
+        tcp_.OnEvent(event.data.ptr, event.events);
       }
     }
     // Tasks that this wakeup's callbacks post to their own node (the
@@ -239,17 +237,17 @@ void ThreadCluster::NodeLoop(NodeId id) {
     // the mailbox is the op accumulator the shared-FLUSH window relies
     // on (ShardedCluster::AsyncWrite).
     if (!mailbox.Drain(batch)) break;
-    if (tcp_) tcp_->Deliver(id, on_frame);
+    tcp_.Deliver(id, on_frame);
     for (auto& item : batch) {
       open_batch();
       if (item.task) {
         item.task();
         continue;
       }
+      // A shaped frame: its copy came from this node thread's pool
+      // (on_frame), and it goes back there.
       ++frames;
       automaton.OnFrame(item.src, item.frame.view(), endpoint);
-      // Recycle into this node thread's pool — its own sends draw from
-      // the same pool, so a steady request/reply load reuses storage.
       item.frame.Recycle(FramePool());
     }
     if (in_batch) automaton.OnBatchEnd(endpoint);
@@ -267,40 +265,7 @@ void ThreadCluster::NodeLoop(NodeId id) {
     frames = 0;
     // Everything this wakeup queued on the wire goes out in (at most)
     // one syscall per touched connection.
-    if (tcp_) tcp_->Flush(id);
-  }
-}
-
-void ThreadCluster::Deliver(NodeId src, NodeId dst, Bytes frame) {
-  if (dst >= nodes_.size()) return;
-  if (tcp_) {
-    tcp_->Send(src, dst, frame);
-    FramePool().Release(std::move(frame));
-    return;
-  }
-  Frame wrapped(std::move(frame));
-  if (Shape(src, dst, wrapped)) return;
-  mailboxes_[dst]->Push(MailItem{src, std::move(wrapped), nullptr});
-}
-
-void ThreadCluster::DeliverBroadcast(NodeId src, std::span<const NodeId> dsts,
-                                     Bytes frame) {
-  if (tcp_) {
-    // One encode, one socket write per destination, zero frame copies.
-    for (NodeId dst : dsts) {
-      if (dst < nodes_.size()) tcp_->Send(src, dst, frame);
-    }
-    FramePool().Release(std::move(frame));
-    return;
-  }
-  // One payload shared by every destination mailbox.
-  auto payload = std::make_shared<Bytes>(std::move(frame));
-  for (NodeId dst : dsts) {
-    if (dst < nodes_.size()) {
-      Frame wrapped(payload);  // per-destination shaping decisions
-      if (Shape(src, dst, wrapped)) continue;
-      mailboxes_[dst]->Push(MailItem{src, std::move(wrapped), nullptr});
-    }
+    tcp_.Flush(id);
   }
 }
 
@@ -326,8 +291,7 @@ void ThreadCluster::PostToNode(NodeId id, std::function<void()> fn) {
 }
 
 void ThreadCluster::DropConnection(NodeId src, NodeId dst) {
-  if (!tcp_) return;
-  PostToNode(src, [this, src, dst] { tcp_->DropConnection(src, dst); });
+  PostToNode(src, [this, src, dst] { tcp_.DropConnection(src, dst); });
 }
 
 void ThreadCluster::Stop() {
@@ -337,17 +301,17 @@ void ThreadCluster::Stop() {
   }
   stopped_ = true;
   // The shaper stops first: frames it still holds are dropped, and
-  // later Offers decline so sends fall through to (soon-closed)
-  // mailboxes. Closing a mailbox wakes its node, which exits once the
-  // mailbox is drained; only after every node thread — the only
-  // driver of the sockets — is joined does the transport close them.
+  // later Offers decline so received frames are dispatched in place.
+  // Closing a mailbox wakes its node, which exits once the mailbox is
+  // drained; only after every node thread — the only driver of the
+  // sockets — is joined does the transport close them.
   if (shaper_) shaper_->Stop();
   for (auto& mailbox : mailboxes_) mailbox->Close();
   for (auto& thread : threads_) {
     if (thread.joinable()) thread.join();
   }
   threads_.clear();
-  if (tcp_) tcp_->Stop();
+  tcp_.Stop();
 }
 
 }  // namespace sbft

@@ -1,14 +1,15 @@
 // Threaded runtime: the same Automaton objects that run in the
 // deterministic simulator run here on real OS threads, communicating
-// through mailboxes (in-process mode) or TCP sockets on loopback.
+// over TCP sockets on loopback — one connection per ordered node pair,
+// the reliable FIFO channel the paper's model (§II) assumes.
 //
 // Design: one thread per node, and that thread is the node's whole
 // event loop. It waits in one epoll set holding the node's mailbox
-// eventfd and, on TCP, the node's listener and connections; it reads
-// its own sockets, dispatches frames and mailbox tasks to the
-// automaton, and writes what they sent. No other thread touches the
-// node's sockets or automaton, so handlers stay single-threaded
-// exactly as in the simulator (no locks inside protocol code). Client
+// eventfd, listener and connections; it reads its own sockets,
+// dispatches frames and mailbox tasks to the automaton, and writes
+// what they sent. No other thread touches the node's sockets or
+// automaton, so handlers stay single-threaded exactly as in the
+// simulator (no locks inside protocol code). Client
 // operations are injected as tasks onto the owning node's thread via
 // PostToNode/RunOnNode, and synchronous wrappers (ShardedCluster::
 // Write/Read) wait on a future.
@@ -30,12 +31,10 @@ namespace sbft {
 class ThreadCluster {
  public:
   struct Options {
-    /// Use TCP sockets on 127.0.0.1 instead of in-process mailboxes for
-    /// the transport (mailboxes still carry tasks to the node thread).
-    bool use_tcp = false;
+    /// Seeds the node rng streams and the link shaper's.
     std::uint64_t seed = 1;
-    /// Slow/lossy link emulation applied to every inter-node frame at
-    /// delivery time (both transports); disabled when all-zero.
+    /// Slow-link emulation applied to every inter-node frame as it is
+    /// received; disabled when all-zero.
     LinkShaping shaping;
   };
 
@@ -69,9 +68,9 @@ class ThreadCluster {
   /// Fire-and-forget variant (no join); used by completion callbacks.
   void PostToNode(NodeId id, std::function<void()> fn);
 
-  /// Chaos hook (TCP only): drop the (src, dst) connection as if the
-  /// peer reset it. Safe from any thread: the drop is posted to src,
-  /// whose thread owns the socket. The next send reconnects.
+  /// Chaos hook: drop the (src, dst) connection as if the peer reset
+  /// it. Safe from any thread: the drop is posted to src, whose thread
+  /// owns the socket. The next send reconnects.
   void DropConnection(NodeId src, NodeId dst);
 
   /// Total frames delivered across all nodes (throughput accounting).
@@ -97,25 +96,20 @@ class ThreadCluster {
   /// asserts it is false, since the task could never run.
   [[nodiscard]] bool OnNodeThread(NodeId id) const;
   void NodeLoop(NodeId id);
-  void Deliver(NodeId src, NodeId dst, Bytes frame);
-  void DeliverBroadcast(NodeId src, std::span<const NodeId> dsts, Bytes frame);
 
-  /// Push one delivered frame to `dst`'s mailbox (the in-process
-  /// delivery path; also the LinkShaper's forward target).
+  /// Push a frame whose shaped delay ran out to `dst`'s mailbox (the
+  /// LinkShaper's forward target).
   void PushFrame(NodeId src, NodeId dst, Frame frame);
-  /// True when the shaper consumed the frame (it will be pushed later,
-  /// or was dropped by a lossy link).
-  bool Shape(NodeId src, NodeId dst, Frame& frame);
 
   Options options_;
   std::vector<std::unique_ptr<Automaton>> nodes_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  /// One epoll set per node: its mailbox eventfd and, on TCP, its
-  /// sockets. Closed after the sockets (destructor).
+  /// One epoll set per node: its mailbox eventfd and its sockets.
+  /// Closed after the sockets (destructor).
   std::vector<int> epoll_fds_;
   std::vector<std::thread> threads_;
-  std::unique_ptr<TcpBus> tcp_;
+  TcpBus tcp_;
   std::unique_ptr<LinkShaper> shaper_;
   std::atomic<std::uint64_t> frames_delivered_{0};
   std::atomic<std::uint64_t> protocol_cpu_ns_{0};

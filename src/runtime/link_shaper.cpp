@@ -17,8 +17,9 @@ std::uint64_t NowUs() {
 
 }  // namespace
 
-LinkShaper::LinkShaper(LinkShaping options, ForwardFn forward)
-    : options_(options), forward_(std::move(forward)), rng_(options.seed) {}
+LinkShaper::LinkShaper(LinkShaping options, std::uint64_t seed,
+                       ForwardFn forward)
+    : options_(options), forward_(std::move(forward)), rng_(seed) {}
 
 LinkShaper::~LinkShaper() { Stop(); }
 
@@ -48,20 +49,15 @@ bool LinkShaper::Offer(NodeId src, NodeId dst, Frame&& frame) {
   {
     MutexLock lock(mutex_);
     if (!running_) return false;
-    if (options_.loss_prob > 0.0 && rng_.NextBool(options_.loss_prob)) {
-      ++dropped_;
-      return true;  // consumed: silently lost
-    }
     delay = options_.delay_us;
     if (options_.jitter_us != 0) {
       delay += rng_.NextBelow(options_.jitter_us + 1);
     }
-    if (delay == 0) return false;  // survived a lossy-only link
+    if (delay == 0) return false;  // a jitter-only link drew no delay
     Pending pending{NowUs() + delay, next_order_++, src, dst,
                     std::move(frame)};
     heap_.push_back(std::move(pending));
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-    ++delayed_;
   }
   wake_.NotifyOne();
   return true;

@@ -1,26 +1,27 @@
-// Slow/lossy link emulation for the threaded runtime.
+// Slow-link emulation for the threaded runtime.
 //
 // The simulator degrades channels natively (World::DegradeChannel);
-// the threaded cluster's links are real mailbox pushes or TCP frames
-// with whatever latency the machine gives them. LinkShaper puts a
-// configurable wide-area link in front of delivery: each frame is
-// delayed by delay_us +/- uniform jitter and/or dropped with
-// loss_prob, using a seeded Rng so a given run shapes the same way
-// each time (modulo thread scheduling).
+// the threaded cluster's links are TCP loopback connections with
+// whatever latency the machine gives them. LinkShaper puts a
+// configurable wide-area link in front of dispatch: each frame is
+// delayed by delay_us + uniform jitter, drawn from an Rng seeded by
+// the cluster, so a given run shapes the same way each time (modulo
+// thread scheduling). Loss is out of scope here: the threaded runtime
+// has no retransmission, so a lost frame could wedge its operation;
+// lossy links belong to a transport that carries the data link
+// (src/net/datalink*).
 //
 // Placement: ThreadCluster routes frames through the shaper at
-// DELIVERY time — after the transport, before dispatch; shaped frames
-// reach their node through its mailbox — which covers both the
-// in-process and the TCP backend with one mechanism and keeps the
-// TcpBus send-side threading contract intact.
+// RECEIVE time — after the socket read, before dispatch; shaped frames
+// reach their node through its mailbox — which keeps the TcpBus
+// send-side threading contract intact.
 // Jittered delays may reorder frames between a pair of nodes; the
 // protocol tolerates reordering (see tests/integration/
 // full_stack_test.cpp), and the paper's model only assumes eventual
 // delivery on correct links.
 //
-// Threading: Offer is called from node threads (the sender's on the
-// in-process backend, the receiver's on TCP); one shaper thread owns
-// the release heap and forwards due frames.
+// Threading: Offer is called on the receiving node's thread; one
+// shaper thread owns the release heap and forwards due frames.
 #pragma once
 
 #include <cstdint>
@@ -42,15 +43,9 @@ struct LinkShaping {
   std::uint64_t delay_us = 0;
   /// Uniform jitter: the actual delay is delay_us + U[0, jitter_us].
   std::uint64_t jitter_us = 0;
-  /// Probability a frame is silently dropped. NOTE: the register
-  /// protocol has no retransmission timer in the threaded runtime, so
-  /// sustained loss can wedge individual operations — use for
-  /// degraded-mode experiments, not for gated trajectories.
-  double loss_prob = 0.0;
-  std::uint64_t seed = 1;
 
   [[nodiscard]] bool enabled() const {
-    return delay_us != 0 || jitter_us != 0 || loss_prob > 0.0;
+    return delay_us != 0 || jitter_us != 0;
   }
 };
 
@@ -59,7 +54,8 @@ class LinkShaper {
   /// Delivers a frame that finished its shaped delay.
   using ForwardFn = std::function<void(NodeId src, NodeId dst, Frame frame)>;
 
-  LinkShaper(LinkShaping options, ForwardFn forward);
+  /// `seed` seeds the jitter stream.
+  LinkShaper(LinkShaping options, std::uint64_t seed, ForwardFn forward);
   ~LinkShaper();
 
   LinkShaper(const LinkShaper&) = delete;
@@ -71,18 +67,10 @@ class LinkShaper {
   void Stop();
 
   /// Hand a frame to the shaper. Returns true when the shaper consumed
-  /// it (delayed or dropped); false when the caller should deliver
-  /// directly (shaper not running, or this frame drew zero delay).
+  /// it (it is forwarded once its delay runs out); false, leaving
+  /// `frame` intact, when the caller should dispatch it directly
+  /// (shaper not running, or this frame drew zero delay).
   bool Offer(NodeId src, NodeId dst, Frame&& frame);
-
-  [[nodiscard]] std::uint64_t dropped() const {
-    MutexLock lock(mutex_);
-    return dropped_;
-  }
-  [[nodiscard]] std::uint64_t delayed() const {
-    MutexLock lock(mutex_);
-    return delayed_;
-  }
 
  private:
   struct Pending {
@@ -111,8 +99,6 @@ class LinkShaper {
   std::vector<Pending> heap_ GUARDED_BY(mutex_);
   Rng rng_ GUARDED_BY(mutex_);
   std::uint64_t next_order_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t dropped_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t delayed_ GUARDED_BY(mutex_) = 0;
   bool running_ GUARDED_BY(mutex_) = false;
   CondVar wake_;
   std::thread thread_;

@@ -1,5 +1,7 @@
-// MPSC mailbox used by the threaded runtime. Producers are any threads
-// (peers' node threads, the link shaper, external drivers); the
+// MPSC mailbox used by the threaded runtime. It carries tasks to a
+// node (PostToNode/RunOnNode) and the frames the link shaper delayed;
+// every other frame arrives over the node's sockets. Producers are any
+// threads (other node threads, the link shaper, external drivers); the
 // consumer is the owning node thread, which waits for its mailbox and
 // its sockets in one epoll set (runtime/cluster.cpp). The mailbox
 // signals an eventfd for that wait, but only while the consumer is
@@ -22,10 +24,9 @@
 
 namespace sbft {
 
-/// A frame from a peer, or a task to run on the node thread (used to
-/// inject client operations with single-threaded automaton semantics).
-/// Frames move through the mailbox — a broadcast pushes one shared
-/// payload to every destination without copying bodies.
+/// A shaped frame from a peer, or a task to run on the node thread (used
+/// to inject client operations with single-threaded automaton
+/// semantics).
 struct MailItem {
   NodeId src = kNoNode;
   Frame frame;

@@ -22,8 +22,7 @@ constexpr std::chrono::seconds kOpTimeout{10};
 
 ShardedCluster::Group::Group(GroupKey /*key*/, const GroupOptions& options,
                              std::uint64_t seed)
-    : cluster_(ThreadCluster::Options{.use_tcp = options.use_tcp,
-                                      .seed = seed,
+    : cluster_(ThreadCluster::Options{.seed = seed,
                                       .shaping = options.shaping}) {
   const ProtocolConfig& config = options.config;
   config.Validate();
@@ -135,8 +134,8 @@ void ShardedCluster::AsyncWrite(std::uint64_t key, Value value,
   // submitted by one wakeup's completion callbacks all start together
   // in the next wakeup — one wide shared-flush window. Starting them
   // in place would close a small window at the end of every receive
-  // burst, multiplying NodeFlush rounds on the TCP backend (measured
-  // ~25% worse at c256).
+  // burst, multiplying NodeFlush rounds (measured ~25% worse at
+  // c256).
   group->cluster_.PostToNode(
       group->client_id_,
       [client = group->client_, key, value = std::move(value),

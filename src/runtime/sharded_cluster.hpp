@@ -7,8 +7,8 @@
 // Each group is the serving topology: n > 5f MuxServer nodes plus ONE
 // MuxClient node that hosts every key as its own register (key k is
 // register k + 1) on its own ThreadCluster — its own quorum system,
-// mailbox namespace, and (on TCP) its own listener sockets and
-// connections, each driven by the node thread that owns it. The mux
+// mailbox namespace, listener sockets and connections, each driven by
+// the node thread that owns it. The mux
 // client batches and shares FLUSH rounds; each node thread's mailbox
 // drain is the batch window (core/mux.hpp). Operations on distinct
 // keys are independent protocol instances, so hundreds of them
@@ -58,7 +58,6 @@ class ShardedCluster {
   /// Deployment template shared by every group.
   struct GroupOptions {
     ProtocolConfig config;
-    bool use_tcp = false;
     /// Keys the deployment serves: each group's mux tables hold
     /// max(1024, n_clients + 1) registers.
     std::size_t n_clients = 1;
@@ -69,14 +68,15 @@ class ShardedCluster {
     /// independent randomness (ports, rng streams) while the whole
     /// deployment stays reproducible from one seed.
     std::uint64_t seed = 1;
-    /// Slow/lossy link emulation for every inter-node link (see
+    /// Slow-link emulation for every inter-node link (see
     /// runtime/link_shaper.hpp); disabled when all-zero.
     LinkShaping shaping;
-    /// Have no effect: every group is the serving topology, and the TCP
-    /// transport has no threads of its own (each node thread drives
-    /// its sockets). Kept so option sets that assign them still
-    /// compile.
+    /// Have no effect: every group is the serving topology, TCP on
+    /// loopback is the only transport, and it has no threads of its
+    /// own (each node thread drives its sockets). Kept so option sets
+    /// that assign them still compile.
     bool multiplex = true;
+    bool use_tcp = true;
     std::size_t reactor_threads = 1;
   };
 

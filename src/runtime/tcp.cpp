@@ -23,6 +23,10 @@ constexpr std::size_t kReadChunk = 128u << 10;
 /// cannot hold its receiver's loop in recv. The sets are
 /// level-triggered, so the rest is reported next wakeup.
 constexpr std::size_t kReadBudget = 1u << 20;
+/// A connection whose unsent queue would exceed this is dropped (the
+/// peer stopped reading): ops on it fail or retry instead of the node
+/// buffering without bound.
+constexpr std::size_t kMaxPendingBytes = 64u << 20;
 
 std::uint32_t LoadU32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -57,8 +61,6 @@ bool Register(int epoll_fd, int op, int fd, std::uint32_t events,
 }
 
 }  // namespace
-
-TcpBus::TcpBus(Options options) : options_(options) {}
 
 TcpBus::~TcpBus() { Stop(); }
 
@@ -251,8 +253,7 @@ bool TcpBus::Send(NodeId src, NodeId dst, BytesView frame) {
     sockets->outbound[dst] = conn;
   }
   Bytes& out = conn->out;
-  if (out.size() - conn->sent + 8 + frame.size() >
-      options_.max_pending_bytes) {
+  if (out.size() - conn->sent + 8 + frame.size() > kMaxPendingBytes) {
     MarkDead(*conn);  // peer stopped reading; degrade, don't buffer
     return false;
   }

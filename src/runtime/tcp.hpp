@@ -55,20 +55,12 @@ namespace sbft {
 
 class TcpBus {
  public:
-  struct Options {
-    /// A connection whose unsent queue exceeds this is dropped (the
-    /// peer stopped reading); ops on it fail/retry instead of the node
-    /// buffering without bound.
-    std::size_t max_pending_bytes = 64u << 20;
-  };
-
   /// Receives one inbound frame on the receiving node's thread. The
   /// view points into the connection's receive buffer and is valid
   /// only for the duration of the call.
   using FrameFn = std::function<void(NodeId src, BytesView frame)>;
 
-  explicit TcpBus(Options options);
-  TcpBus() : TcpBus(Options{}) {}
+  TcpBus() = default;
   ~TcpBus();
 
   TcpBus(const TcpBus&) = delete;
@@ -176,7 +168,6 @@ class TcpBus {
   /// Deregister and close the fd (no-op once closed).
   void Close(Socket& socket);
 
-  Options options_;
   std::vector<std::unique_ptr<NodeSockets>> nodes_;  // indexed by NodeId
   std::atomic<std::uint64_t> connections_dropped_{0};
   bool running_ = false;

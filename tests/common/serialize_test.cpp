@@ -81,8 +81,9 @@ TEST(Serialize, RoundTripsVectors) {
 
   BufReader r(w.data());
   auto decoded = r.GetVector<std::uint32_t>(
-      [](BufReader& br) { return br.Get<std::uint32_t>(); });
+      4, [](BufReader& br) { return br.Get<std::uint32_t>(); });
   EXPECT_EQ(decoded, values);
+  EXPECT_EQ(decoded.capacity(), values.size());  // reserved exactly
   EXPECT_TRUE(r.AtEndOk());
 }
 
@@ -111,7 +112,7 @@ TEST(Serialize, VectorWithHugeCountRejected) {
   w.Put<std::uint32_t>(kMaxWireElements + 1);
   BufReader r(w.data());
   auto decoded = r.GetVector<std::uint32_t>(
-      [](BufReader& br) { return br.Get<std::uint32_t>(); });
+      4, [](BufReader& br) { return br.Get<std::uint32_t>(); });
   EXPECT_TRUE(decoded.empty());
   EXPECT_TRUE(r.failed());
 }
@@ -127,17 +128,34 @@ TEST(Serialize, TrailingGarbageNotAtEndOk) {
 
 TEST(Serialize, VectorReserveCappedByRemainingBytes) {
   // A forged count below kMaxWireElements but far beyond the frame's
-  // actual contents must not pre-allocate past the frame: the decode
-  // fails once elements run out, and the speculative reserve is bounded
-  // by the bytes that were left.
+  // actual contents must not pre-allocate past the frame. Elements of at
+  // least 8 bytes cannot fit 500,000 times in 8 bytes, so the decode
+  // fails at once: no element is read and nothing is reserved.
   BufWriter w;
   w.Put<std::uint32_t>(500'000);  // claims half a million elements
   w.Put<std::uint64_t>(1);        // ...but only one is present
   BufReader r(w.data());
-  auto out = r.GetVector<std::uint64_t>(
-      [](BufReader& br) { return br.Get<std::uint64_t>(); });
+  int decoded = 0;
+  auto out = r.GetVector<std::uint64_t>(8, [&](BufReader& br) {
+    ++decoded;
+    return br.Get<std::uint64_t>();
+  });
   EXPECT_TRUE(r.failed());
   EXPECT_LE(out.capacity(), w.data().size());
+  EXPECT_EQ(out.capacity(), 0u);
+  EXPECT_EQ(decoded, 0);
+
+  // The bound is the element's shortest encoding, not one byte: two
+  // 8-byte elements claimed with 15 bytes left fail the same way.
+  BufWriter short_frame;
+  short_frame.Put<std::uint32_t>(2);
+  short_frame.Put<std::uint64_t>(1);
+  for (int i = 0; i < 7; ++i) short_frame.Put<std::uint8_t>(0);
+  BufReader r2(short_frame.data());
+  auto none = r2.GetVector<std::uint64_t>(
+      8, [](BufReader& br) { return br.Get<std::uint64_t>(); });
+  EXPECT_TRUE(r2.failed());
+  EXPECT_EQ(none.capacity(), 0u);
 }
 
 TEST(Serialize, WriterReusesCallerBuffer) {
@@ -163,7 +181,7 @@ TEST(Serialize, FuzzDecodingGarbageIsTotal) {
     (void)r.Get<std::uint32_t>();
     (void)r.GetString();
     (void)r.GetVector<std::uint64_t>(
-        [](BufReader& br) { return br.Get<std::uint64_t>(); });
+        8, [](BufReader& br) { return br.Get<std::uint64_t>(); });
     (void)r.GetBytes();
     // No assertion needed beyond "did not crash"; but the reader must
     // never report more remaining bytes than the buffer held.

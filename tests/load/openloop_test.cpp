@@ -1,4 +1,4 @@
-// End-to-end open-loop driver tests on the mailbox backend: a short
+// End-to-end open-loop driver tests over TCP loopback: a short
 // burst stays regular under the per-key checker, and a mid-load
 // transient corruption of every server stabilizes within the run with
 // zero violations after the measured stabilization point (the

@@ -195,6 +195,20 @@ TEST(MessageCodec, MuxBatchGarbageCountRejected) {
   Bytes wire = builder.Take();
   wire[1] = 0xFF;  // count prefix low byte: claims 255 items
   EXPECT_FALSE(DecodeMessage(wire).ok());
+
+  // A 64 KiB batch whose count reads 0x000FFFFF: far more 12-byte items
+  // than the frame can hold.
+  MuxBatchBuilder big;
+  const std::size_t item_bytes = MuxItem::kMinWireBytes + inner.size();
+  for (std::size_t i = 0; i < (64u << 10) / item_bytes; ++i) {
+    big.Add(1, inner);
+  }
+  Bytes garbage = big.Take();
+  garbage[1] = 0xFF;
+  garbage[2] = 0xFF;
+  garbage[3] = 0x0F;
+  garbage[4] = 0x00;
+  EXPECT_FALSE(DecodeMessage(garbage).ok());
 }
 
 TEST(MessageCodec, NodeFlushGarbageCountRejected) {
@@ -205,6 +219,16 @@ TEST(MessageCodec, NodeFlushGarbageCountRejected) {
   Bytes wire = EncodeMessage(Message(flush));
   wire[1] = 0xFF;  // count prefix low byte: claims 255 items
   EXPECT_FALSE(DecodeMessage(wire).ok());
+
+  // A 64 KiB round whose count reads 0x000FFFFF.
+  flush.items.assign((64u << 10) / FlushItem::kWireBytes,
+                     FlushItem{1, 2, OpScope::kRead});
+  Bytes garbage = EncodeMessage(Message(flush));
+  garbage[1] = 0xFF;
+  garbage[2] = 0xFF;
+  garbage[3] = 0x0F;
+  garbage[4] = 0x00;
+  EXPECT_FALSE(DecodeMessage(garbage).ok());
 }
 
 TEST(MessageCodec, NodeFlushAckTruncatedItemRejected) {

@@ -1,5 +1,5 @@
 // Threaded-runtime tests: the same automata that run in the simulator
-// must work on real threads (mailboxes) and over TCP loopback.
+// must work on real threads, over TCP loopback.
 #include "runtime/sharded_cluster.hpp"
 
 #include <gtest/gtest.h>
@@ -129,10 +129,9 @@ TEST(Mailbox, PushSignalsOnlyAParkedConsumer) {
 }
 
 /// One group of six servers: the single-group threaded deployment.
-ShardedCluster::Options OneGroup(bool use_tcp = false) {
+ShardedCluster::Options OneGroup() {
   ShardedCluster::Options options;
   options.group.config = ProtocolConfig::ForServers(6);
-  options.group.use_tcp = use_tcp;
   return options;
 }
 
@@ -193,6 +192,8 @@ class SharedRegisterRig {
   std::vector<NodeId> nodes_;
 };
 
+// The Inproc* names are kept so test ids stay stable; these tests run
+// over TCP loopback like every other runtime test.
 TEST(ThreadClusterTest, InprocWriteRead) {
   ShardedCluster cluster(OneGroup());
   cluster.Start();
@@ -260,7 +261,7 @@ TEST(ThreadClusterTest, ConcurrentClientsFromThreads) {
 }
 
 TEST(ThreadClusterTest, TcpWriteRead) {
-  ShardedCluster cluster(OneGroup(/*use_tcp=*/true));
+  ShardedCluster cluster(OneGroup());
   cluster.Start();
 
   for (int i = 0; i < 5; ++i) {
@@ -275,7 +276,7 @@ TEST(ThreadClusterTest, TcpWriteRead) {
 }
 
 TEST(ThreadClusterTest, TcpDroppedConnectionReconnects) {
-  ShardedCluster::Options options = OneGroup(/*use_tcp=*/true);
+  ShardedCluster::Options options = OneGroup();
   options.group.n_clients = 2;
   ShardedCluster cluster(options);
   cluster.Start();
@@ -298,19 +299,30 @@ TEST(ThreadClusterTest, TcpDroppedConnectionReconnects) {
 }
 
 TEST(ThreadClusterTest, TcpWithShapedLinks) {
-  // Receive-side shaping on TCP: frames are copied out of the receive
-  // buffer, delayed by the shaper, and delivered through the mailbox.
-  ShardedCluster::Options options = OneGroup(/*use_tcp=*/true);
-  options.group.shaping.delay_us = 200;
-  options.group.shaping.jitter_us = 200;
+  // Receive-side shaping: frames are copied out of the receive buffer,
+  // delayed by the shaper, and delivered through the mailbox. Every hop
+  // of a phase's round trip waits at least delay_us, so a write (FLUSH,
+  // GET_TS and WRITE round trips) takes at least 6 delays and a read
+  // (FLUSH and READ) at least 4. The delay is long enough that an
+  // unshaped op on loopback cannot meet those bounds.
+  constexpr std::chrono::microseconds kDelay{2000};
+  ShardedCluster::Options options = OneGroup();
+  options.group.shaping.delay_us = static_cast<std::uint64_t>(kDelay.count());
+  options.group.shaping.jitter_us = 500;
   ShardedCluster cluster(options);
   cluster.Start();
+  using Clock = std::chrono::steady_clock;
   for (int i = 0; i < 3; ++i) {
     const Value value = Val("shaped" + std::to_string(i));
+    const auto write_start = Clock::now();
     ASSERT_EQ(cluster.Write(0, value).status, OpStatus::kOk) << i;
+    const auto read_start = Clock::now();
     auto read = cluster.Read(0);
+    const auto read_end = Clock::now();
     ASSERT_EQ(read.status, OpStatus::kOk) << i;
     EXPECT_EQ(read.value, value) << i;
+    EXPECT_GE(read_start - write_start, 6 * kDelay) << i;
+    EXPECT_GE(read_end - read_start, 4 * kDelay) << i;
   }
   cluster.Stop();
 }

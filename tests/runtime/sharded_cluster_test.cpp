@@ -8,9 +8,9 @@
 //     shared MuxBatch rounds with one NodeFlush per window, yet each
 //     key must still see ITS operations complete in issue order with
 //     read-your-writes (MuxPipeline);
-//   * routing is read-your-writes per key across groups, on both
-//     transports, under pipelined concurrency — and the recorded
-//     history passes the per-key regular-register checker;
+//   * routing is read-your-writes per key across groups under
+//     pipelined concurrency — and the recorded history passes the
+//     per-key regular-register checker;
 //   * live growth (AddGroup) migrates ~1/(G+1) of the keys with
 //     drain-and-handoff reads: a migrated key keeps reading its old
 //     group's value until its first write completes in the new group,
@@ -37,11 +37,10 @@ namespace {
 
 Value Val(const std::string& text) { return Value(text.begin(), text.end()); }
 
-ShardedCluster::Options BaseOptions(std::size_t n_groups, bool use_tcp,
+ShardedCluster::Options BaseOptions(std::size_t n_groups,
                                     std::size_t n_keys) {
   ShardedCluster::Options options;
   options.group.config = ProtocolConfig::ForServers(6);
-  options.group.use_tcp = use_tcp;
   options.group.n_clients = n_keys;
   options.n_groups = n_groups;
   return options;
@@ -167,7 +166,7 @@ void ExpectPerClientOrdering(const ShardedRun& run, std::size_t n_keys,
 }
 
 TEST(MuxPipeline, SixtyFourClientsPreservePerClientOrdering) {
-  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/true, 64));
+  ShardedCluster cluster(BaseOptions(1, 64));
   cluster.Start();
   const ShardedRun run = RunShardedWorkload(cluster, 64, 5);
   cluster.Stop();
@@ -178,7 +177,7 @@ TEST(MuxPipeline, SixtyFourClientsPreservePerClientOrdering) {
 // a window of one.
 TEST(MuxPipeline, InprocMultiplexedClientsReadTheirWrites) {
   constexpr std::size_t kClients = 16;
-  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/false, kClients));
+  ShardedCluster cluster(BaseOptions(1, kClients));
   cluster.Start();
   for (std::size_t c = 0; c < kClients; ++c) {
     const Value value = Val("v" + std::to_string(c));
@@ -193,7 +192,7 @@ TEST(MuxPipeline, InprocMultiplexedClientsReadTheirWrites) {
 }
 
 TEST(MuxPipeline, BatchedTcpClientsOrderedAndRegular) {
-  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/true, 64));
+  ShardedCluster cluster(BaseOptions(1, 64));
   cluster.Start();
   const ShardedRun run = RunShardedWorkload(cluster, 64, 5);
   cluster.Stop();
@@ -202,10 +201,10 @@ TEST(MuxPipeline, BatchedTcpClientsOrderedAndRegular) {
   EXPECT_TRUE(report.ok) << report.Summary();
 }
 
-// The mailbox transport must give the identical guarantee (the mux
-// layer, not the socket, provides per-key ordering).
+// A second workload shape, 32 keys x 4 pairs, must give the identical
+// guarantee.
 TEST(MuxPipeline, BatchedInprocClientsOrderedAndRegular) {
-  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/false, 32));
+  ShardedCluster cluster(BaseOptions(1, 32));
   cluster.Start();
   const ShardedRun run = RunShardedWorkload(cluster, 32, 4);
   cluster.Stop();
@@ -217,9 +216,9 @@ TEST(MuxPipeline, BatchedInprocClientsOrderedAndRegular) {
 // ---- Shared FLUSH rounds ---------------------------------------------
 
 // The pipelined workloads again, also demanding that their FLUSH phases
-// went out as node-level NodeFlush rounds on both transports.
+// went out as node-level NodeFlush rounds, in both workload shapes.
 TEST(MuxPipeline, SharedFlushTcpClientsOrderedAndRegular) {
-  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/true, 64));
+  ShardedCluster cluster(BaseOptions(1, 64));
   cluster.Start();
   const ShardedRun run = RunShardedWorkload(cluster, 64, 5);
   cluster.Stop();
@@ -230,7 +229,7 @@ TEST(MuxPipeline, SharedFlushTcpClientsOrderedAndRegular) {
 }
 
 TEST(MuxPipeline, SharedFlushInprocClientsOrderedAndRegular) {
-  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/false, 32));
+  ShardedCluster cluster(BaseOptions(1, 32));
   cluster.Start();
   const ShardedRun run = RunShardedWorkload(cluster, 32, 4);
   cluster.Stop();
@@ -245,7 +244,7 @@ TEST(MuxPipeline, SharedFlushInprocClientsOrderedAndRegular) {
 // fewer NodeFlush rounds. Measured after Stop() so the counter is
 // quiescent.
 TEST(MuxPipeline, SharedFlushAmortizesNodeFlushRounds) {
-  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/false, 32));
+  ShardedCluster cluster(BaseOptions(1, 32));
   cluster.Start();
   std::atomic<int> remaining{32};
   std::mutex mutex;
@@ -280,7 +279,7 @@ TEST(MuxPipeline, SharedFlushAmortizesNodeFlushRounds) {
 }
 
 TEST(ShardedCluster, RoutesReadYourWritesAcrossGroups) {
-  ShardedCluster cluster(BaseOptions(3, /*use_tcp=*/false, 32));
+  ShardedCluster cluster(BaseOptions(3, 32));
   cluster.Start();
   EXPECT_EQ(cluster.n_groups(), 3u);
   EXPECT_EQ(cluster.epoch(), 0u);
@@ -309,7 +308,7 @@ TEST(ShardedCluster, RoutesReadYourWritesAcrossGroups) {
 }
 
 TEST(ShardedCluster, TwoGroupsPipelinedRegularInproc) {
-  ShardedCluster cluster(BaseOptions(2, /*use_tcp=*/false, 32));
+  ShardedCluster cluster(BaseOptions(2, 32));
   cluster.Start();
   const ShardedRun run = RunShardedWorkload(cluster, 32, 4);
   cluster.Stop();
@@ -319,7 +318,7 @@ TEST(ShardedCluster, TwoGroupsPipelinedRegularInproc) {
 }
 
 TEST(ShardedCluster, TwoGroupsPipelinedRegularTcp) {
-  ShardedCluster cluster(BaseOptions(2, /*use_tcp=*/true, 32));
+  ShardedCluster cluster(BaseOptions(2, 32));
   cluster.Start();
   const ShardedRun run = RunShardedWorkload(cluster, 32, 3);
   cluster.Stop();
@@ -333,7 +332,7 @@ TEST(ShardedCluster, TwoGroupsPipelinedRegularTcp) {
 // complete write; the first write AFTER migration flips the anchor.
 TEST(ShardedCluster, GroupAddAnchorsReadsUntilFirstNewWrite) {
   constexpr std::uint64_t kKeys = 64;
-  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/false, kKeys));
+  ShardedCluster cluster(BaseOptions(1, kKeys));
   cluster.Start();
   for (std::uint64_t k = 0; k < kKeys; ++k) {
     ASSERT_EQ(cluster.Write(k, Val("old" + std::to_string(k))).status,
@@ -390,7 +389,7 @@ TEST(ShardedCluster, GroupAddAnchorsReadsUntilFirstNewWrite) {
 TEST(ShardedCluster, LiveGroupAddKeepsHistoryRegular) {
   constexpr std::size_t kKeys = 32;
   constexpr int kPairs = 6;
-  ShardedCluster cluster(BaseOptions(1, /*use_tcp=*/false, kKeys));
+  ShardedCluster cluster(BaseOptions(1, kKeys));
   cluster.Start();
 
   // AddGroup blocks on the new group's startup, so it must not run on
