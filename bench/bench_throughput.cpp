@@ -22,14 +22,14 @@
 // quantization), whose math tests/load/histogram_test.cpp pins down.
 //
 // Every arm also records the full operation history and runs the
-// per-key regular-register checker over it (g2.migrate.* does so
-// THROUGH a live AddGroup epoch bump), reporting the violation count
-// as a gated metric: neither load nor scale-out may cost regularity.
+// per-key regular-register checker over it, reporting the violation
+// count as a gated metric: neither load nor scale-out may cost
+// regularity. Live growth under traffic (AddGroup mid-load) is measured
+// by bench_load's tcp.g2_migrate arm.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <functional>
 #include <mutex>
 #include <set>
 #include <string>
@@ -71,15 +71,8 @@ struct Numbers {
 /// completed op at G = 1, noise against the ~tens-of-µs protocol round).
 class ClosedLoop {
  public:
-  /// `progress`, when set, is called with the running completed-op
-  /// count after each completion (outside the internal lock) — the
-  /// hook the migration arm uses to trigger AddGroup mid-run.
-  ClosedLoop(ShardedCluster& cluster, std::size_t n_clients, int pairs,
-             std::function<void(long)> progress = nullptr)
-      : cluster_(cluster),
-        n_clients_(n_clients),
-        pairs_(pairs),
-        progress_(std::move(progress)) {}
+  ClosedLoop(ShardedCluster& cluster, std::size_t n_clients, int pairs)
+      : cluster_(cluster), n_clients_(n_clients), pairs_(pairs) {}
 
   Numbers Run() {
     t_begin_ = Clock::now();
@@ -143,11 +136,9 @@ class ClosedLoop {
     const auto us =
         std::chrono::duration_cast<std::chrono::microseconds>(now - intended)
             .count();
-    long completed = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       histogram_.Record(us > 0 ? static_cast<std::uint64_t>(us) : 0);
-      completed = static_cast<long>(histogram_.count());
       OpRecord rec;
       rec.kind = is_write ? OpRecord::Kind::kWrite : OpRecord::Kind::kRead;
       rec.result = status == OpStatus::kOk ? OpRecord::Result::kOk
@@ -161,7 +152,6 @@ class ClosedLoop {
       history_.Add(std::move(rec));
     }
     if (status != OpStatus::kOk) failed_.fetch_add(1);
-    if (progress_) progress_(completed);
   }
 
   [[nodiscard]] std::uint64_t StampUs(Clock::time_point t) const {
@@ -174,7 +164,6 @@ class ClosedLoop {
   ShardedCluster& cluster_;
   std::size_t n_clients_;
   int pairs_;
-  std::function<void(long)> progress_;
   Clock::time_point t_begin_;
   load::LatencyHistogram histogram_;
   History history_;
@@ -186,58 +175,19 @@ class ClosedLoop {
 
 /// One arm: `groups` independent register groups (each its own
 /// n-server quorum system) behind the consistent-hash router, closed
-/// loop over `n_clients` keys spread across them. With `migrate`,
-/// starts at ONE group and fires AddGroup from a side thread once half
-/// the op budget completed — the live scale-out measurement. Records
-/// the history and runs the per-key checker.
+/// loop over `n_clients` keys spread across them. Records the history
+/// and runs the per-key checker.
 Numbers RunShardedArm(std::uint32_t n, std::size_t groups,
-                      std::size_t n_clients, int pairs_per_client,
-                      bool migrate) {
+                      std::size_t n_clients, int pairs_per_client) {
   ShardedCluster::Options options;
   options.group.config = ProtocolConfig::ForServers(n);
   options.group.n_clients = n_clients;
-  options.n_groups = migrate ? 1 : groups;
+  options.n_groups = groups;
   ShardedCluster cluster(options);
   cluster.Start();
 
-  // Migration trigger: AddGroup blocks on the new group's startup, so
-  // it must not run on a node thread (the completion callbacks). A
-  // side thread waits for the halfway mark and fires it once.
-  std::mutex trigger_mutex;
-  std::condition_variable trigger_cv;
-  long trigger_completed = 0;
-  bool trigger_stop = false;
-  std::thread adder;
-  std::function<void(long)> progress;
-  if (migrate) {
-    const long halfway =
-        static_cast<long>(n_clients) * static_cast<long>(pairs_per_client);
-    progress = [&](long completed) {
-      std::lock_guard<std::mutex> lock(trigger_mutex);
-      trigger_completed = completed;
-      trigger_cv.notify_one();
-    };
-    adder = std::thread([&, halfway] {
-      std::unique_lock<std::mutex> lock(trigger_mutex);
-      trigger_cv.wait(lock, [&] {
-        return trigger_stop || trigger_completed >= halfway;
-      });
-      if (trigger_stop) return;
-      lock.unlock();
-      cluster.AddGroup();
-    });
-  }
-
-  ClosedLoop loop(cluster, n_clients, pairs_per_client, std::move(progress));
+  ClosedLoop loop(cluster, n_clients, pairs_per_client);
   Numbers numbers = loop.Run();
-  if (adder.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(trigger_mutex);
-      trigger_stop = true;
-      trigger_cv.notify_one();
-    }
-    adder.join();
-  }
   const std::uint64_t cpu_ns = cluster.protocol_cpu_ns();
   cluster.Stop();
   if (numbers.completed > 0) {
@@ -245,10 +195,8 @@ Numbers RunShardedArm(std::uint32_t n, std::size_t groups,
         static_cast<double>(cpu_ns) / 1000.0 /
         static_cast<double>(numbers.completed);
   }
-  // Load and scale-out must not cost regularity: each key's closed loop starts
-  // with a write, so no grandfathered initial value is needed, and the
-  // migration arm's reads must stay regular straight through the epoch
-  // bump (the drain-and-handoff anchor rule under test).
+  // Load and scale-out must not cost regularity: each key's closed loop
+  // starts with a write, so no grandfathered initial value is needed.
   CheckOptions check;
   check.max_violations = 8;
   const CheckReport report = load::CheckRegularPerKey(loop.history(), check);
@@ -270,18 +218,13 @@ struct Point {
   std::uint32_t n;
   std::size_t clients;
   std::size_t groups = 1;
-  bool migrate = false;  // g2.migrate: 1 -> 2 groups mid-run
 };
 
 /// Metric-key prefix of an arm, e.g. "tcp.n16.c64" or "g4.tcp.n16.c256".
 /// The g<G> family prefix is what bench_compare groups sharded arms by.
 std::string KeyFor(const Point& point) {
   std::string key;
-  if (point.migrate) {
-    key += "g2.migrate.";
-  } else if (point.groups > 1) {
-    key += "g" + std::to_string(point.groups) + ".";
-  }
+  if (point.groups > 1) key += "g" + std::to_string(point.groups) + ".";
   key += "tcp.n" + std::to_string(point.n);
   key += ".c" + std::to_string(point.clients);
   return key;
@@ -323,17 +266,13 @@ int main(int argc, char** argv) {
   // scaling needs one core per group's worth of protocol work.
   add({16, 256, /*groups=*/2});
   add({16, 256, /*groups=*/4});
-  // Live growth arm ("g2.migrate."): starts at one group, adds the
-  // second at half the op budget; the per-key checker must pass
-  // straight through the epoch bump.
-  add({16, 64, /*groups=*/2, /*migrate=*/true});
 
   for (const Point& point : points) {
     const std::string key = KeyFor(point);
     if (!report.WantArm(key)) continue;
     const int pairs = PairsFor(point.clients, report.smoke());
-    const Numbers numbers = RunShardedArm(point.n, point.groups, point.clients,
-                                          pairs, point.migrate);
+    const Numbers numbers =
+        RunShardedArm(point.n, point.groups, point.clients, pairs);
     const std::string label =
         key.substr(0, key.rfind(".n" + std::to_string(point.n)));
     Row("%-4u %-8zu %-22s | %-12.0f %-10.0f %-10.0f %-7ld", point.n,

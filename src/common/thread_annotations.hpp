@@ -97,19 +97,17 @@ class SCOPED_CAPABILITY MutexLock {
   Mutex& mutex_;
 };
 
-/// Condition variable over Mutex. Wait takes the mutex the caller
-/// already holds — use a plain `while (!predicate()) cv.Wait(mutex_);`
-/// loop rather than a predicate lambda, so the guarded reads in the
-/// predicate stay inside the annotated function body.
+/// Condition variable over Mutex. WaitFor, the only wait, is bounded
+/// and takes the mutex the caller already holds. Call it in a plain
+/// loop that re-checks the predicate and the deadline rather than
+/// passing a predicate lambda, so the guarded reads stay inside the
+/// annotated function body.
 class CondVar {
  public:
-  /// Atomically releases `mutex`, blocks, and reacquires before
-  /// returning. Spurious wakeups possible — always wait in a loop.
-  void Wait(Mutex& mutex) REQUIRES(mutex) { cv_.wait(mutex); }
-
-  /// Timed wait (same contract); returns after `timeout` at the
-  /// latest. Used by components that sleep until a deadline but must
-  /// wake early on new work (runtime/link_shaper.hpp).
+  /// Atomically releases `mutex`, blocks for at most `timeout`, and
+  /// reacquires before returning. Spurious wakeups possible — always
+  /// wait in a loop. Used by components that sleep until a deadline but
+  /// must wake early on new work (load/driver.cpp's drain).
   template <class Rep, class Period>
   void WaitFor(Mutex& mutex,
                const std::chrono::duration<Rep, Period>& timeout)
@@ -117,7 +115,6 @@ class CondVar {
     cv_.wait_for(mutex, timeout);
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:
@@ -138,14 +135,14 @@ class CondVar {
 ///
 /// Edges declared today (held-while-acquiring, left before right):
 ///   kLoadDriver  -> kShardRouter, kMailbox
-/// kShardRouter, kMailbox, kLinkShaper and the ad-hoc leaves (logging
-/// sink, parallel sweep error mutex) acquire nothing nested. The TCP
-/// transport has no mutex: each node thread owns its sockets.
+/// kShardRouter, kMailbox and the ad-hoc leaves (logging sink, parallel
+/// sweep error mutex) acquire nothing nested. The TCP transport and
+/// link shaping have no mutex: each node thread owns its sockets and
+/// the frames it holds.
 namespace lock_order {
 inline Mutex kLoadDriver;   // anchor-for: sbft::load::RunState::mutex
 inline Mutex kShardRouter;  // anchor-for: sbft::ShardedCluster::mutex_
 inline Mutex kMailbox;      // anchor-for: sbft::Mailbox::mutex_
-inline Mutex kLinkShaper;   // anchor-for: sbft::LinkShaper::mutex_
 }  // namespace lock_order
 
 }  // namespace sbft

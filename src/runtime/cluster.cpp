@@ -17,6 +17,8 @@
 namespace sbft {
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 /// CPU time consumed by the calling thread. One syscall per call —
 /// sampled once per wakeup, not per frame, so the cost amortizes over
 /// the wakeup like everything else on this path.
@@ -39,8 +41,8 @@ thread_local NodeId tls_node = kNoNode;
 // thread owns the node's sockets.
 class ThreadCluster::Endpoint final : public IEndpoint {
  public:
-  Endpoint(ThreadCluster& cluster, NodeId id, Rng rng)
-      : cluster_(cluster), id_(id), rng_(rng) {}
+  Endpoint(ThreadCluster& cluster, NodeId id, Rng rng, Rng jitter)
+      : cluster_(cluster), id_(id), rng_(rng), jitter_(jitter) {}
 
   void Send(NodeId dst, Bytes frame) override {
     cluster_.tcp_.Send(id_, dst, frame);
@@ -56,24 +58,61 @@ class ThreadCluster::Endpoint final : public IEndpoint {
   void SetTimer(VirtualTime delay, int timer_id) override {
     // The timer list needs no lock: NodeLoop reads it between wakeups
     // on this same thread. Delays are microseconds, matching Now().
-    timers_.emplace_back(
-        std::chrono::steady_clock::now() + std::chrono::microseconds(delay),
-        timer_id);
+    timers_.emplace_back(Clock::now() + std::chrono::microseconds(delay),
+                         timer_id);
   }
 
-  /// Earliest pending timer deadline, if any. Node-thread only.
-  [[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
-  NextTimerDeadline() const {
-    if (timers_.empty()) return std::nullopt;
-    auto best = timers_.front().first;
-    for (const auto& [when, id] : timers_) best = std::min(best, when);
+  /// Hold a received frame for its shaped delay: copy it into a pooled
+  /// buffer and queue it for ReleaseDue. Returns false — dispatch it
+  /// now, in place — on an unshaped link or a zero draw. Node-thread
+  /// only.
+  bool Hold(NodeId src, BytesView frame) {
+    const LinkShaping& shaping = cluster_.options_.shaping;
+    if (!shaping.enabled()) return false;
+    std::uint64_t delay = shaping.delay_us;
+    if (shaping.jitter_us != 0) {
+      delay += jitter_.NextBelow(shaping.jitter_us + 1);
+    }
+    if (delay == 0) return false;  // a jitter-only link drew no delay
+    Bytes copy = FramePool().Acquire();
+    copy.assign(frame.begin(), frame.end());
+    held_.push_back(Held{Clock::now() + std::chrono::microseconds(delay),
+                         next_hold_++, src, std::move(copy)});
+    std::push_heap(held_.begin(), held_.end(), Later{});
+    return true;
+  }
+
+  /// Dispatch every held frame whose delay ran out, earliest release
+  /// first, and return its buffer to this thread's pool. Node-thread
+  /// only.
+  template <typename Dispatch>
+  void ReleaseDue(const Dispatch& dispatch) {
+    if (held_.empty()) return;
+    const auto now = Clock::now();
+    while (!held_.empty() && held_.front().release <= now) {
+      std::pop_heap(held_.begin(), held_.end(), Later{});
+      Held due = std::move(held_.back());
+      held_.pop_back();
+      dispatch(due.src, due.frame);
+      FramePool().Release(std::move(due.frame));
+    }
+  }
+
+  /// Earliest of the pending timers and held frames, if any.
+  /// Node-thread only.
+  [[nodiscard]] std::optional<Clock::time_point> NextDeadline() const {
+    std::optional<Clock::time_point> best;
+    if (!held_.empty()) best = held_.front().release;
+    for (const auto& [when, id] : timers_) {
+      if (!best || when < *best) best = when;
+    }
     return best;
   }
 
   /// Fire every due timer in arming order. Node-thread only.
   void FireDueTimers(Automaton& automaton) {
     if (timers_.empty()) return;
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
     // Collect ids first: OnTimer may re-arm, appending to timers_.
     std::vector<int> due;
     std::erase_if(timers_, [&](const auto& timer) {
@@ -85,7 +124,6 @@ class ThreadCluster::Endpoint final : public IEndpoint {
   }
 
   [[nodiscard]] VirtualTime Now() const override {
-    using Clock = std::chrono::steady_clock;
     return static_cast<VirtualTime>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             Clock::now().time_since_epoch())
@@ -96,27 +134,36 @@ class ThreadCluster::Endpoint final : public IEndpoint {
   Rng& rng() override { return rng_; }
 
  private:
+  /// A received frame waiting out its shaped delay.
+  struct Held {
+    Clock::time_point release;
+    std::uint64_t order;  // arrival order: FIFO among equal releases
+    NodeId src;
+    Bytes frame;  // from this node thread's FramePool()
+  };
+  struct Later {
+    bool operator()(const Held& a, const Held& b) const {
+      return a.release != b.release ? a.release > b.release
+                                    : a.order > b.order;
+    }
+  };
+
   ThreadCluster& cluster_;
   NodeId id_;
   Rng rng_;
+  /// Draws the shaped delays, so shaping moves no automaton draw.
+  Rng jitter_;
   /// Pending timers, unordered (the list stays tiny — the mux batch
   /// window arms at most one). Touched only by the owning node thread.
-  std::vector<std::pair<std::chrono::steady_clock::time_point, int>> timers_;
+  std::vector<std::pair<Clock::time_point, int>> timers_;
+  /// Min-heap of held frames on (release, order) via std::push_heap/
+  /// pop_heap. Touched only by the owning node thread; frames still
+  /// held when the cluster stops are dropped with it.
+  std::vector<Held> held_;
+  std::uint64_t next_hold_ = 0;
 };
 
-ThreadCluster::ThreadCluster(Options options) : options_(options) {
-  if (options_.shaping.enabled()) {
-    shaper_ = std::make_unique<LinkShaper>(
-        options_.shaping, options_.seed,
-        [this](NodeId src, NodeId dst, Frame frame) {
-          PushFrame(src, dst, std::move(frame));
-        });
-  }
-}
-
-void ThreadCluster::PushFrame(NodeId src, NodeId dst, Frame frame) {
-  mailboxes_[dst]->Push(MailItem{src, std::move(frame), nullptr});
-}
+ThreadCluster::ThreadCluster(Options options) : options_(options) {}
 
 ThreadCluster::~ThreadCluster() {
   Stop();
@@ -132,7 +179,11 @@ NodeId ThreadCluster::AddNode(std::unique_ptr<Automaton> automaton) {
   nodes_.push_back(std::move(automaton));
   mailboxes_.push_back(std::make_unique<Mailbox>());
   Rng seeder(options_.seed + id * 7919);
-  endpoints_.push_back(std::make_unique<Endpoint>(*this, id, seeder.Fork()));
+  // The automaton's stream forks first, so the jitter stream moves none
+  // of its draws.
+  Rng rng = seeder.Fork();
+  endpoints_.push_back(
+      std::make_unique<Endpoint>(*this, id, rng, seeder.Fork()));
   const int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
   SBFT_ASSERT(epoll_fd >= 0);
   epoll_fds_.push_back(epoll_fd);
@@ -148,7 +199,6 @@ NodeId ThreadCluster::AddNode(std::unique_ptr<Automaton> automaton) {
 void ThreadCluster::Start() {
   SBFT_ASSERT(!started_);
   started_ = true;
-  if (shaper_) shaper_->Start();
   tcp_.Start();
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     threads_.emplace_back([this, id] { NodeLoop(id); });
@@ -172,8 +222,9 @@ void ThreadCluster::NodeLoop(NodeId id) {
   // The dispatch bracket — batch hooks, handlers, timers — is the
   // protocol work of one wakeup; the wait, the socket reads and the
   // flush are transport. Thread CPU is sampled at the bracket's edges.
-  // It opens at the first frame or task, so a wakeup with nothing to
-  // dispatch (a torn frame, a lone timer) runs no batch hooks.
+  // It opens at the first dispatched frame or task, so a wakeup with
+  // nothing to dispatch (a torn frame, a held frame, a lone timer) runs
+  // no batch hooks.
   bool in_batch = false;
   std::uint64_t cpu_start = 0;
   std::uint64_t frames = 0;
@@ -183,36 +234,32 @@ void ThreadCluster::NodeLoop(NodeId id) {
     cpu_start = ThreadCpuNs();
     // Bracket the wakeup so the node can coalesce everything it sends
     // in response (protocol-round batching seam — one wakeup, one
-    // shared round, whether the frames came off the sockets or, shaped,
-    // through the mailbox).
+    // shared round, whether the frames came off the sockets now or were
+    // held by shaping).
     automaton.OnBatchStart(endpoint);
   };
-  const TcpBus::FrameFn on_frame = [&](NodeId src, BytesView frame) {
-    if (shaper_) {
-      // Only the shaper needs an owned copy; otherwise the frame is
-      // dispatched in place, from the connection's receive buffer.
-      // Offer leaves `owned` intact when it declines (zero delay drawn).
-      Bytes copy = FramePool().Acquire();
-      copy.assign(frame.begin(), frame.end());
-      Frame owned(std::move(copy));
-      if (shaper_->Offer(src, id, std::move(owned))) return;
-      owned.Recycle(FramePool());
-    }
+  const auto dispatch = [&](NodeId src, BytesView frame) {
     open_batch();
     ++frames;
     automaton.OnFrame(src, frame, endpoint);
   };
+  // An unshaped frame is dispatched in place, from the connection's
+  // receive buffer; a shaped one is copied and held.
+  const TcpBus::FrameFn on_frame = [&](NodeId src, BytesView frame) {
+    if (!endpoint.Hold(src, frame)) dispatch(src, frame);
+  };
   for (;;) {
-    // Block until a socket or the mailbox is ready or the next timer is
-    // due (microsecond resolution: a millisecond epoll_wait timeout
-    // would round every batch-window timer up). With work already in
-    // the mailbox, only poll the sockets.
+    // Block until a socket or the mailbox is ready, the next timer is
+    // due or the next held frame is released (microsecond resolution:
+    // a millisecond epoll_wait timeout would round every batch-window
+    // timer up). With work already in the mailbox, only poll the
+    // sockets.
     timespec timeout{};
     const timespec* wait = &timeout;
     if (mailbox.Park()) {
-      if (const auto deadline = endpoint.NextTimerDeadline()) {
+      if (const auto deadline = endpoint.NextDeadline()) {
         const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            *deadline - std::chrono::steady_clock::now());
+            *deadline - Clock::now());
         if (left.count() > 0) {
           timeout.tv_sec = static_cast<time_t>(left.count() / 1'000'000'000);
           timeout.tv_nsec = static_cast<long>(left.count() % 1'000'000'000);
@@ -238,17 +285,10 @@ void ThreadCluster::NodeLoop(NodeId id) {
     // on (ShardedCluster::AsyncWrite).
     if (!mailbox.Drain(batch)) break;
     tcp_.Deliver(id, on_frame);
-    for (auto& item : batch) {
+    endpoint.ReleaseDue(dispatch);
+    for (auto& task : batch) {
       open_batch();
-      if (item.task) {
-        item.task();
-        continue;
-      }
-      // A shaped frame: its copy came from this node thread's pool
-      // (on_frame), and it goes back there.
-      ++frames;
-      automaton.OnFrame(item.src, item.frame.view(), endpoint);
-      item.frame.Recycle(FramePool());
+      task();
     }
     if (in_batch) automaton.OnBatchEnd(endpoint);
     if (frames != 0) {
@@ -276,18 +316,17 @@ void ThreadCluster::RunOnNode(NodeId id, std::function<void()> fn) {
   SBFT_ASSERT(!OnNodeThread(id));
   std::promise<void> done;
   auto future = done.get_future();
-  const bool pushed = mailboxes_[id]->Push(MailItem{
-      kNoNode, {}, [fn = std::move(fn), &done] {
-        fn();
-        done.set_value();
-      }});
+  const bool pushed = mailboxes_[id]->Push([fn = std::move(fn), &done] {
+    fn();
+    done.set_value();
+  });
   SBFT_ASSERT(pushed);
   future.wait();
 }
 
 void ThreadCluster::PostToNode(NodeId id, std::function<void()> fn) {
   if (id >= nodes_.size()) return;
-  mailboxes_[id]->Push(MailItem{kNoNode, {}, std::move(fn)});
+  mailboxes_[id]->Push(std::move(fn));
 }
 
 void ThreadCluster::DropConnection(NodeId src, NodeId dst) {
@@ -300,12 +339,9 @@ void ThreadCluster::Stop() {
     return;
   }
   stopped_ = true;
-  // The shaper stops first: frames it still holds are dropped, and
-  // later Offers decline so received frames are dispatched in place.
   // Closing a mailbox wakes its node, which exits once the mailbox is
   // drained; only after every node thread — the only driver of the
   // sockets — is joined does the transport close them.
-  if (shaper_) shaper_->Stop();
   for (auto& mailbox : mailboxes_) mailbox->Close();
   for (auto& thread : threads_) {
     if (thread.joinable()) thread.join();

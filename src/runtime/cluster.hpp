@@ -13,6 +13,15 @@
 // operations are injected as tasks onto the owning node's thread via
 // PostToNode/RunOnNode, and synchronous wrappers (ShardedCluster::
 // Write/Read) wait on a future.
+//
+// Slow links: with LinkShaping enabled, the receiving node's loop holds
+// each frame it reads for delay_us + U[0, jitter_us] before dispatch,
+// in a per-node release heap that its wait deadline covers (the same
+// microsecond deadline as its timers). Shaping at receive time keeps
+// the TcpBus send-side contract intact. Jittered delays may reorder
+// frames between a pair of nodes; the protocol tolerates reordering
+// (see tests/integration/full_stack_test.cpp), and the paper's model
+// only assumes eventual delivery on correct links.
 #pragma once
 
 #include <atomic>
@@ -21,17 +30,32 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/link_shaper.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/tcp.hpp"
 #include "sim/world.hpp"
 
 namespace sbft {
 
+/// Link-shaping parameters; all-zero means "no shaping" and every frame
+/// is dispatched in place from its receive buffer. Loss is out of scope
+/// here: the threaded runtime has no retransmission, so a lost frame
+/// could wedge its operation; lossy links belong to a transport that
+/// carries the data link (src/net/datalink*).
+struct LinkShaping {
+  /// Added one-way delay per frame, microseconds.
+  std::uint64_t delay_us = 0;
+  /// Uniform jitter: the actual delay is delay_us + U[0, jitter_us].
+  std::uint64_t jitter_us = 0;
+
+  [[nodiscard]] bool enabled() const {
+    return delay_us != 0 || jitter_us != 0;
+  }
+};
+
 class ThreadCluster {
  public:
   struct Options {
-    /// Seeds the node rng streams and the link shaper's.
+    /// Seeds the node rng streams and the nodes' jitter streams.
     std::uint64_t seed = 1;
     /// Slow-link emulation applied to every inter-node frame as it is
     /// received; disabled when all-zero.
@@ -54,7 +78,7 @@ class ThreadCluster {
 
   /// Close mailboxes, join node threads, then close the sockets — in
   /// that order, so every socket outlives the thread that drives it.
-  /// Idempotent.
+  /// Frames still held by shaping are dropped. Idempotent.
   void Stop();
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
@@ -97,10 +121,6 @@ class ThreadCluster {
   [[nodiscard]] bool OnNodeThread(NodeId id) const;
   void NodeLoop(NodeId id);
 
-  /// Push a frame whose shaped delay ran out to `dst`'s mailbox (the
-  /// LinkShaper's forward target).
-  void PushFrame(NodeId src, NodeId dst, Frame frame);
-
   Options options_;
   std::vector<std::unique_ptr<Automaton>> nodes_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
@@ -110,7 +130,6 @@ class ThreadCluster {
   std::vector<int> epoll_fds_;
   std::vector<std::thread> threads_;
   TcpBus tcp_;
-  std::unique_ptr<LinkShaper> shaper_;
   std::atomic<std::uint64_t> frames_delivered_{0};
   std::atomic<std::uint64_t> protocol_cpu_ns_{0};
   bool started_ = false;

@@ -1,11 +1,10 @@
 // MPSC mailbox used by the threaded runtime. It carries tasks to a
-// node (PostToNode/RunOnNode) and the frames the link shaper delayed;
-// every other frame arrives over the node's sockets. Producers are any
-// threads (other node threads, the link shaper, external drivers); the
-// consumer is the owning node thread, which waits for its mailbox and
-// its sockets in one epoll set (runtime/cluster.cpp). The mailbox
-// signals an eventfd for that wait, but only while the consumer is
-// parked: a post to a busy node costs no syscall.
+// node (PostToNode/RunOnNode); every frame arrives over the node's
+// sockets. Producers are any threads (other node threads, external
+// drivers); the consumer is the owning node thread, which waits for its
+// mailbox and its sockets in one epoll set (runtime/cluster.cpp). The
+// mailbox signals an eventfd for that wait, but only while the consumer
+// is parked: a post to a busy node costs no syscall.
 #pragma once
 
 #include <sys/eventfd.h>
@@ -16,22 +15,14 @@
 #include <functional>
 #include <utility>
 
-#include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "common/frame.hpp"
 #include "common/thread_annotations.hpp"
-#include "sim/types.hpp"
 
 namespace sbft {
 
-/// A shaped frame from a peer, or a task to run on the node thread (used
-/// to inject client operations with single-threaded automaton
-/// semantics).
-struct MailItem {
-  NodeId src = kNoNode;
-  Frame frame;
-  std::function<void()> task;  // non-null => task item
-};
+/// A task to run on the node thread (used to inject client operations
+/// with single-threaded automaton semantics).
+using MailItem = std::function<void()>;
 
 class Mailbox {
  public:

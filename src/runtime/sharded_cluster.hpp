@@ -68,8 +68,9 @@ class ShardedCluster {
     /// independent randomness (ports, rng streams) while the whole
     /// deployment stays reproducible from one seed.
     std::uint64_t seed = 1;
-    /// Slow-link emulation for every inter-node link (see
-    /// runtime/link_shaper.hpp); disabled when all-zero.
+    /// Slow-link emulation for every inter-node link, held in each
+    /// receiving node's loop (see runtime/cluster.hpp); disabled when
+    /// all-zero.
     LinkShaping shaping;
     /// Have no effect: every group is the serving topology, TCP on
     /// loopback is the only transport, and it has no threads of its

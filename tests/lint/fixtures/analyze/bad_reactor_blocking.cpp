@@ -21,7 +21,6 @@ class MutexLock {
 class CondVar {
  public:
   void Wait(Mutex& mutex);
-  void NotifyOne();
 };
 
 class IEndpoint {};

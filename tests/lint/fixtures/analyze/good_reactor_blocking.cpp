@@ -22,7 +22,7 @@ class CondVar {
  public:
   template <class Duration>
   void WaitFor(Mutex& mutex, Duration timeout);
-  void NotifyOne();
+  void NotifyAll();
 };
 
 class IEndpoint {};
@@ -60,7 +60,7 @@ class Server final : public Automaton {
   void Enqueue() {
     MutexLock guard(mutex_);
     pending_ += 1;
-    ready_.NotifyOne();
+    ready_.NotifyAll();
   }
 
   Mutex mutex_;

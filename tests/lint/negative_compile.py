@@ -22,7 +22,6 @@ POSITIVE_TUS = [
     "runtime/tcp.cpp",
     "runtime/cluster.cpp",
     "runtime/sharded_cluster.cpp",
-    "runtime/link_shaper.cpp",
     "load/driver.cpp",
     "core/shard_map.cpp",
     "net/message.cpp",

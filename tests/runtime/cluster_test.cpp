@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <deque>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
@@ -36,25 +38,32 @@ bool WaitAndDrain(Mailbox& mailbox, std::deque<MailItem>& batch) {
   return mailbox.Drain(batch);
 }
 
+/// A task that appends `index` to `seen` when run.
+MailItem Record(std::vector<int>& seen, int index) {
+  return [&seen, index] { seen.push_back(index); };
+}
+
+/// Runs every drained task, in order.
+void RunAll(std::deque<MailItem>& batch) {
+  for (auto& task : batch) task();
+}
+
 TEST(Mailbox, PushPopFifo) {
   Mailbox mailbox;
+  std::vector<int> seen;  // written only by the consumer's tasks
   std::thread producer([&] {
     for (int i = 0; i < 10; ++i) {
-      mailbox.Push(
-          MailItem{static_cast<NodeId>(i), Frame(Bytes{(std::uint8_t)i}), {}});
+      mailbox.Push(Record(seen, i));
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   });
   // Items arrive over several parked waits, in push order.
-  std::vector<NodeId> seen;
   std::deque<MailItem> batch;
-  while (seen.size() < 10 && WaitAndDrain(mailbox, batch)) {
-    for (const auto& item : batch) seen.push_back(item.src);
-  }
+  while (seen.size() < 10 && WaitAndDrain(mailbox, batch)) RunAll(batch);
   producer.join();
   ASSERT_EQ(seen.size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(i)], static_cast<NodeId>(i));
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);
   }
 }
 
@@ -80,27 +89,29 @@ TEST(Mailbox, PushAfterCloseRejected) {
 
 TEST(Mailbox, DrainSwapsWholeQueueInOrder) {
   Mailbox mailbox;
-  for (int i = 0; i < 10; ++i) {
-    mailbox.Push(
-        MailItem{static_cast<NodeId>(i), Frame(Bytes{(std::uint8_t)i}), {}});
-  }
+  std::vector<int> seen;
+  for (int i = 0; i < 10; ++i) mailbox.Push(Record(seen, i));
   std::deque<MailItem> batch;
   ASSERT_TRUE(mailbox.Drain(batch));
   ASSERT_EQ(batch.size(), 10u);
+  RunAll(batch);
+  ASSERT_EQ(seen.size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(batch[static_cast<std::size_t>(i)].src,
-              static_cast<NodeId>(i));
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);
   }
   EXPECT_EQ(mailbox.size(), 0u);  // queue fully swapped out
 }
 
 TEST(Mailbox, DrainReturnsFalseWhenClosedAndEmpty) {
   Mailbox mailbox;
-  mailbox.Push(MailItem{3, Frame(Bytes{1}), {}});
+  std::vector<int> seen;
+  mailbox.Push(Record(seen, 3));
   mailbox.Close();
   std::deque<MailItem> batch;
   EXPECT_TRUE(mailbox.Drain(batch));  // pending item still delivered
   EXPECT_EQ(batch.size(), 1u);
+  RunAll(batch);
+  EXPECT_EQ(seen, std::vector<int>{3});
   EXPECT_FALSE(mailbox.Drain(batch));  // closed and drained
 }
 
@@ -111,21 +122,25 @@ TEST(Mailbox, PushSignalsOnlyAParkedConsumer) {
     return ::read(mailbox.wake_fd(), &count, sizeof(count)) ==
            static_cast<ssize_t>(sizeof(count));
   };
+  std::vector<int> seen;
   // A busy consumer (not parked) costs the producer no wake-up.
-  ASSERT_TRUE(mailbox.Push(MailItem{1, Frame(Bytes{1}), {}}));
+  ASSERT_TRUE(mailbox.Push(Record(seen, 1)));
   EXPECT_FALSE(signalled());
   // Park refuses while items are queued: the consumer must drain first.
   EXPECT_FALSE(mailbox.Park());
   std::deque<MailItem> batch;
   ASSERT_TRUE(mailbox.Drain(batch));
+  RunAll(batch);
   // The first push to a parked consumer signals, later ones do not.
   ASSERT_TRUE(mailbox.Park());
-  ASSERT_TRUE(mailbox.Push(MailItem{2, Frame(Bytes{2}), {}}));
+  ASSERT_TRUE(mailbox.Push(Record(seen, 2)));
   EXPECT_TRUE(signalled());
-  ASSERT_TRUE(mailbox.Push(MailItem{3, Frame(Bytes{3}), {}}));
+  ASSERT_TRUE(mailbox.Push(Record(seen, 3)));
   EXPECT_FALSE(signalled());
   ASSERT_TRUE(mailbox.Drain(batch));
   EXPECT_EQ(batch.size(), 2u);
+  RunAll(batch);
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
 }
 
 /// One group of six servers: the single-group threaded deployment.
@@ -299,12 +314,12 @@ TEST(ThreadClusterTest, TcpDroppedConnectionReconnects) {
 }
 
 TEST(ThreadClusterTest, TcpWithShapedLinks) {
-  // Receive-side shaping: frames are copied out of the receive buffer,
-  // delayed by the shaper, and delivered through the mailbox. Every hop
-  // of a phase's round trip waits at least delay_us, so a write (FLUSH,
-  // GET_TS and WRITE round trips) takes at least 6 delays and a read
-  // (FLUSH and READ) at least 4. The delay is long enough that an
-  // unshaped op on loopback cannot meet those bounds.
+  // Receive-side shaping: frames are copied out of the receive buffer
+  // and held in the receiving node's loop until their delay runs out.
+  // Every hop of a phase's round trip waits at least delay_us, so a
+  // write (FLUSH, GET_TS and WRITE round trips) takes at least 6 delays
+  // and a read (FLUSH and READ) at least 4. The delay is long enough
+  // that an unshaped op on loopback cannot meet those bounds.
   constexpr std::chrono::microseconds kDelay{2000};
   ShardedCluster::Options options = OneGroup();
   options.group.shaping.delay_us = static_cast<std::uint64_t>(kDelay.count());
@@ -325,6 +340,129 @@ TEST(ThreadClusterTest, TcpWithShapedLinks) {
     EXPECT_GE(read_end - read_start, 4 * kDelay) << i;
   }
   cluster.Stop();
+}
+
+/// Threads of this process, from /proc/self/status (-1 if unreadable).
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(ThreadClusterTest, ShapedDeploymentRunsOnlyNodeThreads) {
+  // Shaped frames wait in their receiving node's loop, so every thread
+  // a shaped deployment starts is a node thread.
+  ShardedCluster::Options options = OneGroup();
+  options.n_groups = 2;
+  options.group.shaping.delay_us = 200;
+  options.group.shaping.jitter_us = 100;
+  ShardedCluster cluster(options);
+  std::size_t nodes = 0;
+  for (std::size_t g = 0; g < cluster.n_groups(); ++g) {
+    nodes += cluster.group(g).cluster().node_count();
+  }
+  ASSERT_EQ(nodes, 2 * (options.group.config.n + 1));
+  // A sanitizer runtime may start a helper thread along with the
+  // process's first thread (TSan does): let it do so before counting.
+  std::thread([] {}).join();
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  cluster.Start();
+  EXPECT_EQ(ProcessThreads() - before, static_cast<int>(nodes));
+  ASSERT_EQ(cluster.Write(0, Val("shaped")).status, OpStatus::kOk);
+  cluster.Stop();
+  EXPECT_EQ(ProcessThreads(), before);
+}
+
+/// Sends numbered frames stamped with their send time, and records the
+/// frames it receives with their arrival time.
+class StampProbe final : public Automaton {
+ public:
+  struct Arrival {
+    std::uint64_t seq = 0;
+    std::uint64_t sent_us = 0;
+    std::uint64_t received_us = 0;
+  };
+
+  void OnStart(IEndpoint& endpoint) override { endpoint_ = &endpoint; }
+  void OnFrame(NodeId, BytesView frame, IEndpoint& endpoint) override {
+    Arrival arrival;
+    std::memcpy(&arrival.seq, frame.data(), sizeof(arrival.seq));
+    std::memcpy(&arrival.sent_us, frame.data() + sizeof(arrival.seq),
+                sizeof(arrival.sent_us));
+    arrival.received_us = endpoint.Now();
+    arrivals.push_back(arrival);
+  }
+  void OnTimer(int, IEndpoint&) override {}
+
+  /// Node thread only.
+  void SendBurst(NodeId dst, std::uint64_t first, std::uint64_t count) {
+    for (std::uint64_t seq = first; seq < first + count; ++seq) {
+      const std::uint64_t sent_us = endpoint_->Now();
+      Bytes frame(sizeof(seq) + sizeof(sent_us));
+      std::memcpy(frame.data(), &seq, sizeof(seq));
+      std::memcpy(frame.data() + sizeof(seq), &sent_us, sizeof(sent_us));
+      endpoint_->Send(dst, std::move(frame));
+    }
+  }
+
+  /// Node thread only, or after the cluster stopped.
+  std::vector<Arrival> arrivals;
+
+ private:
+  IEndpoint* endpoint_ = nullptr;
+};
+
+TEST(ThreadClusterTest, DelayOnlyShapingKeepsLinkFifo) {
+  // With no jitter every frame waits exactly delay_us after it is read,
+  // so a link's frames leave the release heap in the order TCP brought
+  // them, however many are held across wakeups.
+  constexpr std::uint64_t kDelayUs = 20'000;
+  constexpr std::uint64_t kBursts = 8;
+  constexpr std::uint64_t kBurst = 25;
+  ThreadCluster::Options options;
+  options.shaping.delay_us = kDelayUs;
+  ThreadCluster cluster(options);
+  auto owned_sender = std::make_unique<StampProbe>();
+  auto owned_receiver = std::make_unique<StampProbe>();
+  StampProbe* sender = owned_sender.get();
+  StampProbe* receiver = owned_receiver.get();
+  const NodeId from = cluster.AddNode(std::move(owned_sender));
+  const NodeId to = cluster.AddNode(std::move(owned_receiver));
+  cluster.Start();
+  // Bursts 2 ms apart reach the receiver over several wakeups, while
+  // earlier ones are still held.
+  for (std::uint64_t b = 0; b < kBursts; ++b) {
+    cluster.PostToNode(from, [sender, to, b] {
+      sender->SendBurst(to, b * kBurst, kBurst);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  std::vector<StampProbe::Arrival> arrivals;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrivals.size() < kBursts * kBurst &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    cluster.RunOnNode(to, [&] { arrivals = receiver->arrivals; });
+  }
+  ASSERT_EQ(arrivals.size(), kBursts * kBurst);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    EXPECT_EQ(arrivals[i].seq, i);
+    EXPECT_GE(arrivals[i].received_us - arrivals[i].sent_us, kDelayUs) << i;
+  }
+  // Stop with a last burst in flight: the frames the receiver already
+  // holds are dropped with the cluster (clean under ASan), none
+  // delivered early.
+  cluster.RunOnNode(from, [sender, to] {
+    sender->SendBurst(to, kBursts * kBurst, kBurst);
+  });
+  cluster.RunOnNode(from, [] {});  // the burst's flush has run
+  cluster.Stop();
+  EXPECT_EQ(receiver->arrivals.size(), kBursts * kBurst);
 }
 
 /// Arms one timer per request and reports how late it fired.
