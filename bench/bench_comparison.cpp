@@ -10,13 +10,14 @@
 //   * BFT-unbounded (n=4, [14]): survives (i); saturated-timestamp
 //                                corruption is permanent in (ii)/(iii);
 //   * this paper (n=6):          survives all three (Theorem 2).
+// The bench exits 1 when a column contradicts its prediction.
 #include <array>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
 
-#include "baselines/abd.hpp"
-#include "baselines/bft_unbounded.hpp"
+#include "baselines/quorum_register.hpp"
 #include "bench_json.hpp"
 #include "bench_util.hpp"
 #include "core/deployment.hpp"
@@ -31,31 +32,49 @@ Value Val(const std::string& text) { return Value(text.begin(), text.end()); }
 
 constexpr int kReads = 20;
 
-// --- ABD arm -------------------------------------------------------------
+// --- Baseline arms -------------------------------------------------------
 
-int RunAbd(bool byzantine, bool corruption, std::uint64_t seed) {
+/// ABD has no Byzantine defence; model the attacker as a frozen
+/// max-timestamp liar.
+std::unique_ptr<Automaton> FrozenLiar(std::uint64_t) {
+  auto server = std::make_unique<AbdServer>();
+  server->SetState(UnboundedTs{~0ull, 9}, Val("evil"));
+  return server;
+}
+
+std::unique_ptr<Automaton> LyingBuServer(std::uint64_t seed) {
+  return std::make_unique<BuByzantineServer>(seed);
+}
+
+/// One unbounded-timestamp baseline: n servers, server 0 built by
+/// `adversary` under (i)/(iii), every correct server's timestamp
+/// saturated under (ii)/(iii).
+template <typename Rules>
+int RunBaseline(std::size_t n, Rules rules,
+                std::unique_ptr<Automaton> (*adversary)(std::uint64_t),
+                bool byzantine, bool corruption, std::uint64_t seed) {
   World world(World::Options{seed, nullptr});
-  std::vector<AbdServer*> servers;
+  std::vector<AbdServer*> correct;
   std::vector<NodeId> ids;
-  for (int i = 0; i < 3; ++i) {
-    auto server = std::make_unique<AbdServer>();
+  for (std::size_t i = 0; i < n; ++i) {
     if (byzantine && i == 0) {
-      // ABD has no Byzantine defence; model the attacker as a frozen
-      // max-timestamp liar.
-      server->SetState(UnboundedTs{~0ull, 9}, Val("evil"));
+      ids.push_back(world.AddNode(adversary(seed)));
+      continue;
     }
-    servers.push_back(server.get());
+    auto server = std::make_unique<AbdServer>();
+    correct.push_back(server.get());
     ids.push_back(world.AddNode(std::move(server)));
   }
-  auto client_owner = std::make_unique<AbdClient>(ids, 50);
-  AbdClient* client = client_owner.get();
+  auto client_owner =
+      std::make_unique<QuorumClient<Rules>>(ids, std::move(rules), 50);
+  QuorumClient<Rules>* client = client_owner.get();
   world.AddNode(std::move(client_owner));
   world.RunUntil([] { return true; }, 0);
 
   if (corruption) {
     Rng rng(seed);
-    for (std::size_t i = byzantine ? 1 : 0; i < servers.size(); ++i) {
-      servers[i]->SetState(
+    for (AbdServer* server : correct) {
+      server->SetState(
           UnboundedTs{std::numeric_limits<std::uint64_t>::max(),
                       std::numeric_limits<std::uint32_t>::max()},
           RandomBytes(rng, 4));
@@ -80,54 +99,13 @@ int RunAbd(bool byzantine, bool corruption, std::uint64_t seed) {
   return good;
 }
 
-// --- BFT-unbounded arm ----------------------------------------------------
+int RunAbd(bool byzantine, bool corruption, std::uint64_t seed) {
+  return RunBaseline(3, AbdRules{}, FrozenLiar, byzantine, corruption, seed);
+}
 
 int RunBu(bool byzantine, bool corruption, std::uint64_t seed) {
-  World world(World::Options{seed, nullptr});
-  std::vector<BuServer*> servers;
-  std::vector<NodeId> ids;
-  for (int i = 0; i < 4; ++i) {
-    if (byzantine && i == 0) {
-      servers.push_back(nullptr);
-      ids.push_back(world.AddNode(std::make_unique<BuByzantineServer>(seed)));
-    } else {
-      auto server = std::make_unique<BuServer>();
-      servers.push_back(server.get());
-      ids.push_back(world.AddNode(std::move(server)));
-    }
-  }
-  auto client_owner = std::make_unique<BuClient>(ids, 1, 50);
-  BuClient* client = client_owner.get();
-  world.AddNode(std::move(client_owner));
-  world.RunUntil([] { return true; }, 0);
-
-  if (corruption) {
-    Rng rng(seed);
-    for (BuServer* server : servers) {
-      if (server == nullptr) continue;
-      server->SetState(
-          UnboundedTs{std::numeric_limits<std::uint64_t>::max(),
-                      std::numeric_limits<std::uint32_t>::max()},
-          RandomBytes(rng, 4));
-    }
-  }
-
-  bool done = false;
-  client->StartWrite(Val("recover"), [&](bool) { done = true; });
-  if (!world.RunUntil([&] { return done; }, 200'000)) return 0;
-
-  int good = 0;
-  for (int i = 0; i < kReads; ++i) {
-    BuReadOutcome outcome;
-    done = false;
-    client->StartRead([&](const BuReadOutcome& o) {
-      outcome = o;
-      done = true;
-    });
-    if (!world.RunUntil([&] { return done; }, 200'000)) break;
-    if (outcome.ok && outcome.value == Val("recover")) ++good;
-  }
-  return good;
+  return RunBaseline(4, BuRules(/*f=*/1), LyingBuServer, byzantine, corruption,
+                     seed);
 }
 
 // --- This paper's protocol -------------------------------------------------
@@ -172,13 +150,18 @@ int main(int argc, char** argv) {
     const char* name;
     const char* key;
     int (*run)(bool, bool, std::uint64_t);
+    /// The predicted shape: per fault, whether every read is correct
+    /// (20/20) or not.
+    std::array<bool, 3> survives;
   };
   const Arm arms[] = {
-      {"ABD (n=3, crash-only)", "abd", RunAbd},
-      {"BFT-unbounded (n=4, [14])", "bft_unbounded", RunBu},
-      {"this paper (n=6, 5f+1)", "ours", RunOurs},
+      {"ABD (n=3, crash-only)", "abd", RunAbd, {false, false, false}},
+      {"BFT-unbounded (n=4, [14])", "bft_unbounded", RunBu,
+       {true, false, false}},
+      {"this paper (n=6, 5f+1)", "ours", RunOurs, {true, true, true}},
   };
   const char* fault_keys[3] = {"byz", "corrupt", "both"};
+  bool shape_holds = true;
   const std::size_t jobs =
       report.jobs() == 0 ? HardwareJobs() : report.jobs();
   for (const Arm& arm : arms) {
@@ -206,11 +189,20 @@ int main(int argc, char** argv) {
       report.Metric(std::string(arm.key) + "." + fault_keys[fault] +
                         ".good_reads",
                     cells[fault] / kSeeds, "reads/20");
+      const bool survived = cells[fault] == kReads * kSeeds;
+      if (survived != arm.survives[static_cast<std::size_t>(fault)]) {
+        std::fprintf(stderr,
+                     "bench_comparison: %s under %s reads %.1f/20, "
+                     "expected %s\n",
+                     arm.key, fault_keys[fault], cells[fault] / kSeeds,
+                     survived ? "fewer than 20" : "20/20");
+        shape_holds = false;
+      }
     }
   }
   Row("%s", "\nexpected shape: ABD fails whenever a Byzantine server is "
             "present and stays poisoned after corruption; BFT-unbounded "
             "masks Byzantine servers but never recovers from saturated "
             "timestamps; this paper's protocol scores 20/20 everywhere.");
-  return report.Flush() ? 0 : 1;
+  return report.Flush() && shape_holds ? 0 : 1;
 }

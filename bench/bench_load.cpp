@@ -21,9 +21,8 @@
 //     how long until reads are provably regular again — the paper's
 //     stabilization guarantee as a latency-style number.
 //
-// Extra flag (on top of bench_json.hpp's): --scenario NAME runs only
-// arms whose name contains NAME (e.g. --scenario corruption).
-#include <cstring>
+// Arms are picked with bench_json.hpp's --only SUBSTR: only arms whose
+// key contains it run (e.g. --only corruption).
 #include <string>
 #include <vector>
 
@@ -38,21 +37,6 @@ using namespace sbft;
 using namespace sbft::bench;
 
 namespace {
-
-/// The --scenario substring; empty = all arms.
-std::string ParseScenarioFilter(int argc, char** argv) {
-  std::string filter;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
-      filter = argv[++i];
-    }
-  }
-  return filter;
-}
-
-bool Wanted(const std::string& filter, const std::string& name) {
-  return filter.empty() || name.find(filter) != std::string::npos;
-}
 
 /// A sweep point is sustained when (almost) everything scheduled came
 /// back and the ok-rate tracked the offered rate. The 0.99/0.8 slack
@@ -108,8 +92,8 @@ std::size_t CheckHistory(const load::LoadResult& result) {
   return report.violations.size();
 }
 
-void RunSweep(JsonReport& report, const std::string& filter) {
-  if (!Wanted(filter, "tcp.sweep")) return;
+void RunSweep(JsonReport& report) {
+  if (!report.WantArm("tcp.sweep")) return;
   // Rates chosen to bracket one-core capacity from below: every point
   // is sustainable on the baseline machine, so the gated trajectory
   // asserts "the whole sweep stays sustained" (saturation_frac = 1)
@@ -144,7 +128,7 @@ void RunSweep(JsonReport& report, const std::string& filter) {
       "tcp.sweep", sustained, rates.size(), saturation_rate);
 }
 
-void RunScenarioArms(JsonReport& report, const std::string& filter) {
+void RunScenarioArms(JsonReport& report) {
   const std::uint64_t duration_us = report.smoke() ? 400'000 : 2'000'000;
 
   // Rates per arm sit well under one-core capacity: these arms measure
@@ -160,7 +144,7 @@ void RunScenarioArms(JsonReport& report, const std::string& filter) {
 
   for (const load::Scenario& scenario : arms) {
     const std::string key = "tcp." + scenario.name;
-    if (!Wanted(filter, key)) continue;
+    if (!report.WantArm(key)) continue;
     const load::LoadResult result = load::RunOpenLoop(scenario);
     const double offered = scenario.phases.empty()
                                ? scenario.rate_ops_per_sec
@@ -206,10 +190,10 @@ void RunScenarioArms(JsonReport& report, const std::string& filter) {
 /// Sharded-deployment arms (E15): a G=2 offered-load sweep and the
 /// live-growth scenario. Regularity is gated at zero violations on
 /// every arm; throughput stays advisory like everywhere else.
-void RunShardedArms(JsonReport& report, const std::string& filter) {
+void RunShardedArms(JsonReport& report) {
   const std::uint64_t duration_us = report.smoke() ? 300'000 : 1'500'000;
 
-  if (Wanted(filter, "tcp.g2.sweep")) {
+  if (report.WantArm("tcp.g2.sweep")) {
     const std::vector<double> rates = {250, 500};
     std::size_t sustained = 0;
     double saturation_rate = 0;
@@ -241,7 +225,7 @@ void RunShardedArms(JsonReport& report, const std::string& filter) {
   // AddGroup installs the next shard-map epoch under traffic. The
   // per-key checker must pass straight through the bump — the
   // drain-and-handoff read anchor is what's under test.
-  if (Wanted(filter, "tcp.g2_migrate")) {
+  if (report.WantArm("tcp.g2_migrate")) {
     const load::Scenario scenario =
         load::MigrateScenario(250, duration_us, 35);
     const load::LoadResult result = load::RunOpenLoop(scenario);
@@ -269,14 +253,13 @@ void RunShardedArms(JsonReport& report, const std::string& filter) {
 
 int main(int argc, char** argv) {
   JsonReport report("load", ParseBenchArgs(argc, argv));
-  const std::string filter = ParseScenarioFilter(argc, argv);
   Header("E12", "open-loop adversarial load (offered vs sustained)");
   Row("%-22s %-9s | %-9s %-6s %-8s %-8s %-8s %-6s %-6s", "arm", "offered",
       "ok/s", "compl", "p50 us", "p99 us", "max us", "abort", "lost");
 
-  RunSweep(report, filter);
-  RunScenarioArms(report, filter);
-  RunShardedArms(report, filter);
+  RunSweep(report);
+  RunScenarioArms(report);
+  RunShardedArms(report);
 
   Row("%s", "\nexpected shape: p99 grows with offered load and explodes "
             "past the knee (completed_frac < 1 marks overload); Zipf and "

@@ -4,7 +4,7 @@
 #include <sstream>
 #include <vector>
 
-#include "baselines/naive_quorum.hpp"
+#include "baselines/quorum_register.hpp"
 #include "common/error.hpp"
 #include "sim/world.hpp"
 
@@ -101,7 +101,7 @@ ReplayResult RunTheorem1Replay(const ReplayOptions& options) {
 
   // --- Build the world.
   for (std::uint32_t i = 0; i < rig.s4_end; ++i) {
-    auto server = std::make_unique<NqServer>(rig.k);
+    auto server = std::make_unique<NqServer>(LabelDomain(rig.k));
     if (i >= rig.a_slow_end) {
       // S4 group: transient fault planted ts2 with a garbage value.
       server->SetState(rig.ts2, Val("corrupt-s4"));
@@ -117,12 +117,12 @@ ReplayResult RunTheorem1Replay(const ReplayOptions& options) {
     rig.byz_servers.push_back(server.get());
     rig.server_ids.push_back(rig.world.AddNode(std::move(server)));
   }
-  auto writer = std::make_unique<NqClient>(rig.server_ids, f, rig.k,
-                                           writer_client_id);
+  auto writer = std::make_unique<NqClient>(
+      rig.server_ids, Tm1rRules(f, rig.k), writer_client_id);
   rig.writer = writer.get();
   rig.writer_id = rig.world.AddNode(std::move(writer));
-  auto reader = std::make_unique<NqClient>(rig.server_ids, f, rig.k,
-                                           rig.n + 1);
+  auto reader = std::make_unique<NqClient>(rig.server_ids,
+                                           Tm1rRules(f, rig.k), rig.n + 1);
   rig.reader = reader.get();
   rig.reader_id = rig.world.AddNode(std::move(reader));
   // Run OnStart hooks so clients capture their endpoints.

@@ -1,5 +1,5 @@
 // Executable Theorem 1: the adversarial execution from the lower-bound
-// proof, replayed against a TM_1R protocol (naive_quorum.hpp).
+// proof, replayed against a TM_1R protocol (quorum_register.hpp, Tm1rRules).
 //
 // Proof structure (§III), generalized from 5 servers to 5f by replacing
 // each server with a group of f:

@@ -99,100 +99,6 @@ CheckReport CheckMuxRegularPerKey(const History& history,
   return merged;
 }
 
-/// Closed-loop workload over one MuxClient: logical client c drives
-/// sequential ops on register c+1; distinct clients interleave in
-/// virtual time exactly like the plain Driver in spec/workload.cpp.
-/// Heap-held and shared_ptr-captured for the same reason: closures left
-/// in the world queue after an event-cap stop must stay safe.
-struct MuxDriver : std::enable_shared_from_this<MuxDriver> {
-  MuxDriver(World& w, MuxClient& c, const WorkloadOptions& opts,
-            std::size_t n_clients)
-      : world(w),
-        client(c),
-        options(opts),
-        rng(opts.seed),
-        remaining(n_clients, opts.ops_per_client),
-        seq(n_clients, 0) {}
-
-  World& world;
-  MuxClient& client;
-  WorkloadOptions options;
-  Rng rng;
-  std::vector<std::uint32_t> remaining;
-  std::vector<std::uint32_t> seq;
-  std::size_t outstanding = 0;
-  WorkloadResult result;
-
-  [[nodiscard]] bool AllDone() const {
-    return outstanding == 0 &&
-           std::all_of(remaining.begin(), remaining.end(),
-                       [](std::uint32_t r) { return r == 0; });
-  }
-
-  void ScheduleNext(std::size_t c) {
-    auto self = shared_from_this();
-    world.ScheduleCall(1 + rng.NextBelow(options.max_think_time),
-                       [self, c] { self->LaunchNext(c); });
-  }
-
-  void LaunchNext(std::size_t c) {
-    if (remaining[c] == 0) return;
-    // A corrupted mux client fails every in-flight op through its
-    // callback (in ascending register order, so ScheduleNext's rng
-    // draws replay), and this loop never overlaps its own ops, so the
-    // register should be idle here. If it is not, the lane stops like
-    // the plain driver's.
-    if (!client.idle(MuxRegisterOf(c))) return;
-    remaining[c]--;
-    outstanding++;
-    const VirtualTime invoked_at = world.now();
-    auto self = shared_from_this();
-    if (rng.NextBool(options.write_fraction)) {
-      const std::string text =
-          "c" + std::to_string(c) + "#" + std::to_string(seq[c]++);
-      const Value value(text.begin(), text.end());
-      client.StartWrite(
-          MuxRegisterOf(c), value,
-          [self, c, value, invoked_at](const WriteOutcome& out) {
-            OpRecord record;
-            record.kind = OpRecord::Kind::kWrite;
-            record.result = out.status == OpStatus::kOk
-                                ? OpRecord::Result::kOk
-                                : OpRecord::Result::kFailed;
-            record.client = static_cast<std::uint32_t>(c);
-            record.invoked_at = invoked_at;
-            record.returned_at = self->world.now();
-            record.value = value;
-            self->result.history.Add(std::move(record));
-            if (out.status == OpStatus::kOk) {
-              self->result.first_write_done =
-                  std::min(self->result.first_write_done, self->world.now());
-            }
-            self->outstanding--;
-            self->ScheduleNext(c);
-          });
-    } else {
-      client.StartRead(
-          MuxRegisterOf(c), [self, c, invoked_at](const ReadOutcome& out) {
-            OpRecord record;
-            record.kind = OpRecord::Kind::kRead;
-            record.result = out.status == OpStatus::kOk
-                                ? OpRecord::Result::kOk
-                                : out.status == OpStatus::kAborted
-                                      ? OpRecord::Result::kAborted
-                                      : OpRecord::Result::kFailed;
-            record.client = static_cast<std::uint32_t>(c);
-            record.invoked_at = invoked_at;
-            record.returned_at = self->world.now();
-            record.value = out.value;
-            self->result.history.Add(std::move(record));
-            self->outstanding--;
-            self->ScheduleNext(c);
-          });
-    }
-  }
-};
-
 /// Scenario execution in mux mode (scenario.mux_window > 0): MuxServer
 /// replicas, one MuxClient with batching + shared FLUSH rounds, per-key
 /// regularity. Fault operands map naturally — all logical clients live
@@ -304,17 +210,24 @@ RunOutcome RunMuxScenario(const Scenario& scenario,
   workload.seed = SplitMix64(workload_salt);
   workload.max_events = scenario.max_events;
 
-  auto driver =
-      std::make_shared<MuxDriver>(world, *mux, workload, scenario.n_clients);
-  for (std::size_t c = 0; c < scenario.n_clients; ++c) {
-    driver->ScheduleNext(c);
-  }
-  const bool all_completed =
-      world.RunUntil([&] { return driver->AllDone(); }, workload.max_events);
+  // Logical client c drives sequential ops on register c + 1; distinct
+  // clients interleave in virtual time. A corrupted mux client fails
+  // every in-flight op through its callback (in ascending register
+  // order, so the driver's rng draws replay).
+  WorkloadTarget target;
+  target.n_clients = scenario.n_clients;
+  target.idle = [mux](std::size_t c) { return mux->idle(MuxRegisterOf(c)); };
+  target.start_write = [mux](std::size_t c, Value value, WriteCallback done) {
+    mux->StartWrite(MuxRegisterOf(c), std::move(value), std::move(done));
+  };
+  target.start_read = [mux](std::size_t c, ReadCallback done) {
+    mux->StartRead(MuxRegisterOf(c), std::move(done));
+  };
+  WorkloadResult result = RunConcurrentWorkload(world, target, workload);
 
   RunOutcome outcome;
-  outcome.all_completed = all_completed;
-  outcome.history = std::move(driver->result.history);
+  outcome.all_completed = result.all_completed;
+  outcome.history = std::move(result.history);
 
   // Global anchor for reporting; the checker and checked_reads count
   // re-anchor per key (each key is its own register instance).

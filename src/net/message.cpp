@@ -21,24 +21,18 @@ enum class Tag : std::uint8_t {
   kCompleteRead = 7,
   kFlush = 8,
   kFlushAck = 9,
-  kAbdRead = 20,
-  kAbdReadReply = 21,
-  kAbdWrite = 22,
-  kAbdWriteAck = 23,
-  kAbdGetTs = 24,
-  kAbdTsReply = 25,
-  kBuGetTs = 30,
-  kBuTsReply = 31,
-  kBuWrite = 32,
-  kBuWriteAck = 33,
-  kBuRead = 34,
-  kBuReadReply = 35,
-  kNqGetTs = 40,
-  kNqTsReply = 41,
-  kNqWrite = 42,
-  kNqWriteAck = 43,
-  kNqRead = 44,
-  kNqReadReply = 45,
+  // Baseline quorum registers. 30-35, 40, 43 and 44 are retired (they
+  // carried per-protocol copies of these messages); like 60, do not
+  // reuse them.
+  kQuorumRead = 20,
+  kQuorumReadReply = 21,
+  kQuorumWrite = 22,
+  kQuorumWriteAck = 23,
+  kQuorumGetTs = 24,
+  kQuorumTsReply = 25,
+  kQuorumTsReplyBounded = 41,
+  kQuorumWriteBounded = 42,
+  kQuorumReadReplyBounded = 45,
   // 60 is retired (the single-register mux envelope). Do not reuse it:
   // a stray frame in the old shape must stay an unknown tag.
   kMuxBatch = 61,
@@ -59,24 +53,15 @@ template <> struct WireTag<ReplyMsg> { static constexpr Tag value = Tag::kReply;
 template <> struct WireTag<CompleteReadMsg> { static constexpr Tag value = Tag::kCompleteRead; };
 template <> struct WireTag<FlushMsg> { static constexpr Tag value = Tag::kFlush; };
 template <> struct WireTag<FlushAckMsg> { static constexpr Tag value = Tag::kFlushAck; };
-template <> struct WireTag<AbdReadMsg> { static constexpr Tag value = Tag::kAbdRead; };
-template <> struct WireTag<AbdReadReplyMsg> { static constexpr Tag value = Tag::kAbdReadReply; };
-template <> struct WireTag<AbdWriteMsg> { static constexpr Tag value = Tag::kAbdWrite; };
-template <> struct WireTag<AbdWriteAckMsg> { static constexpr Tag value = Tag::kAbdWriteAck; };
-template <> struct WireTag<AbdGetTsMsg> { static constexpr Tag value = Tag::kAbdGetTs; };
-template <> struct WireTag<AbdTsReplyMsg> { static constexpr Tag value = Tag::kAbdTsReply; };
-template <> struct WireTag<BuGetTsMsg> { static constexpr Tag value = Tag::kBuGetTs; };
-template <> struct WireTag<BuTsReplyMsg> { static constexpr Tag value = Tag::kBuTsReply; };
-template <> struct WireTag<BuWriteMsg> { static constexpr Tag value = Tag::kBuWrite; };
-template <> struct WireTag<BuWriteAckMsg> { static constexpr Tag value = Tag::kBuWriteAck; };
-template <> struct WireTag<BuReadMsg> { static constexpr Tag value = Tag::kBuRead; };
-template <> struct WireTag<BuReadReplyMsg> { static constexpr Tag value = Tag::kBuReadReply; };
-template <> struct WireTag<NqGetTsMsg> { static constexpr Tag value = Tag::kNqGetTs; };
-template <> struct WireTag<NqTsReplyMsg> { static constexpr Tag value = Tag::kNqTsReply; };
-template <> struct WireTag<NqWriteMsg> { static constexpr Tag value = Tag::kNqWrite; };
-template <> struct WireTag<NqWriteAckMsg> { static constexpr Tag value = Tag::kNqWriteAck; };
-template <> struct WireTag<NqReadMsg> { static constexpr Tag value = Tag::kNqRead; };
-template <> struct WireTag<NqReadReplyMsg> { static constexpr Tag value = Tag::kNqReadReply; };
+template <> struct WireTag<QuorumGetTsMsg> { static constexpr Tag value = Tag::kQuorumGetTs; };
+template <> struct WireTag<QuorumWriteAckMsg> { static constexpr Tag value = Tag::kQuorumWriteAck; };
+template <> struct WireTag<QuorumReadMsg> { static constexpr Tag value = Tag::kQuorumRead; };
+template <> struct WireTag<QuorumTsReplyMsg<UnboundedTs>> { static constexpr Tag value = Tag::kQuorumTsReply; };
+template <> struct WireTag<QuorumWriteMsg<UnboundedTs>> { static constexpr Tag value = Tag::kQuorumWrite; };
+template <> struct WireTag<QuorumReadReplyMsg<UnboundedTs>> { static constexpr Tag value = Tag::kQuorumReadReply; };
+template <> struct WireTag<QuorumTsReplyMsg<Timestamp>> { static constexpr Tag value = Tag::kQuorumTsReplyBounded; };
+template <> struct WireTag<QuorumWriteMsg<Timestamp>> { static constexpr Tag value = Tag::kQuorumWriteBounded; };
+template <> struct WireTag<QuorumReadReplyMsg<Timestamp>> { static constexpr Tag value = Tag::kQuorumReadReplyBounded; };
 template <> struct WireTag<MuxBatchMsg> { static constexpr Tag value = Tag::kMuxBatch; };
 template <> struct WireTag<NodeFlushMsg> { static constexpr Tag value = Tag::kNodeFlush; };
 template <> struct WireTag<NodeFlushAckMsg> { static constexpr Tag value = Tag::kNodeFlushAck; };
@@ -239,185 +224,82 @@ FlushAckMsg FlushAckMsg::DecodeFrom(BufReader& r) {
   return m;
 }
 
-void AbdReadMsg::EncodeInto(BufWriter& w) const { w.Put<std::uint64_t>(rid); }
-AbdReadMsg AbdReadMsg::DecodeFrom(BufReader& r) {
-  AbdReadMsg m;
+void QuorumGetTsMsg::EncodeInto(BufWriter& w) const {
+  w.Put<std::uint64_t>(rid);
+}
+QuorumGetTsMsg QuorumGetTsMsg::DecodeFrom(BufReader& r) {
+  QuorumGetTsMsg m;
   m.rid = r.Get<std::uint64_t>();
   return m;
 }
 
-void AbdReadReplyMsg::EncodeInto(BufWriter& w) const {
+template <typename Ts>
+void QuorumTsReplyMsg<Ts>::EncodeInto(BufWriter& w) const {
+  w.Put<std::uint64_t>(rid);
+  ts.Encode(w);
+}
+template <typename Ts>
+QuorumTsReplyMsg<Ts> QuorumTsReplyMsg<Ts>::DecodeFrom(BufReader& r) {
+  QuorumTsReplyMsg m;
+  m.rid = r.Get<std::uint64_t>();
+  m.ts = Ts::Decode(r);
+  return m;
+}
+
+template <typename Ts>
+void QuorumWriteMsg<Ts>::EncodeInto(BufWriter& w) const {
   w.Put<std::uint64_t>(rid);
   ts.Encode(w);
   w.PutBytes(value);
 }
-AbdReadReplyMsg AbdReadReplyMsg::DecodeFrom(BufReader& r) {
-  AbdReadReplyMsg m;
+template <typename Ts>
+QuorumWriteMsg<Ts> QuorumWriteMsg<Ts>::DecodeFrom(BufReader& r) {
+  QuorumWriteMsg m;
   m.rid = r.Get<std::uint64_t>();
-  m.ts = UnboundedTs::Decode(r);
+  m.ts = Ts::Decode(r);
   m.value = r.GetBytesView();
   return m;
 }
 
-void AbdWriteMsg::EncodeInto(BufWriter& w) const {
+void QuorumWriteAckMsg::EncodeInto(BufWriter& w) const {
+  w.Put<std::uint64_t>(rid);
+}
+QuorumWriteAckMsg QuorumWriteAckMsg::DecodeFrom(BufReader& r) {
+  QuorumWriteAckMsg m;
+  m.rid = r.Get<std::uint64_t>();
+  return m;
+}
+
+void QuorumReadMsg::EncodeInto(BufWriter& w) const {
+  w.Put<std::uint64_t>(rid);
+}
+QuorumReadMsg QuorumReadMsg::DecodeFrom(BufReader& r) {
+  QuorumReadMsg m;
+  m.rid = r.Get<std::uint64_t>();
+  return m;
+}
+
+template <typename Ts>
+void QuorumReadReplyMsg<Ts>::EncodeInto(BufWriter& w) const {
   w.Put<std::uint64_t>(rid);
   ts.Encode(w);
   w.PutBytes(value);
 }
-AbdWriteMsg AbdWriteMsg::DecodeFrom(BufReader& r) {
-  AbdWriteMsg m;
+template <typename Ts>
+QuorumReadReplyMsg<Ts> QuorumReadReplyMsg<Ts>::DecodeFrom(BufReader& r) {
+  QuorumReadReplyMsg m;
   m.rid = r.Get<std::uint64_t>();
-  m.ts = UnboundedTs::Decode(r);
+  m.ts = Ts::Decode(r);
   m.value = r.GetBytesView();
   return m;
 }
 
-void AbdWriteAckMsg::EncodeInto(BufWriter& w) const {
-  w.Put<std::uint64_t>(rid);
-}
-AbdWriteAckMsg AbdWriteAckMsg::DecodeFrom(BufReader& r) {
-  AbdWriteAckMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  return m;
-}
-
-void AbdGetTsMsg::EncodeInto(BufWriter& w) const { w.Put<std::uint64_t>(rid); }
-AbdGetTsMsg AbdGetTsMsg::DecodeFrom(BufReader& r) {
-  AbdGetTsMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  return m;
-}
-
-void AbdTsReplyMsg::EncodeInto(BufWriter& w) const {
-  w.Put<std::uint64_t>(rid);
-  ts.Encode(w);
-}
-AbdTsReplyMsg AbdTsReplyMsg::DecodeFrom(BufReader& r) {
-  AbdTsReplyMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  m.ts = UnboundedTs::Decode(r);
-  return m;
-}
-
-void BuGetTsMsg::EncodeInto(BufWriter& w) const { w.Put<std::uint64_t>(rid); }
-BuGetTsMsg BuGetTsMsg::DecodeFrom(BufReader& r) {
-  BuGetTsMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  return m;
-}
-
-void BuTsReplyMsg::EncodeInto(BufWriter& w) const {
-  w.Put<std::uint64_t>(rid);
-  ts.Encode(w);
-}
-BuTsReplyMsg BuTsReplyMsg::DecodeFrom(BufReader& r) {
-  BuTsReplyMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  m.ts = UnboundedTs::Decode(r);
-  return m;
-}
-
-void BuWriteMsg::EncodeInto(BufWriter& w) const {
-  w.Put<std::uint64_t>(rid);
-  ts.Encode(w);
-  w.PutBytes(value);
-}
-BuWriteMsg BuWriteMsg::DecodeFrom(BufReader& r) {
-  BuWriteMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  m.ts = UnboundedTs::Decode(r);
-  m.value = r.GetBytesView();
-  return m;
-}
-
-void BuWriteAckMsg::EncodeInto(BufWriter& w) const {
-  w.Put<std::uint64_t>(rid);
-}
-BuWriteAckMsg BuWriteAckMsg::DecodeFrom(BufReader& r) {
-  BuWriteAckMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  return m;
-}
-
-void BuReadMsg::EncodeInto(BufWriter& w) const { w.Put<std::uint64_t>(rid); }
-BuReadMsg BuReadMsg::DecodeFrom(BufReader& r) {
-  BuReadMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  return m;
-}
-
-void BuReadReplyMsg::EncodeInto(BufWriter& w) const {
-  w.Put<std::uint64_t>(rid);
-  ts.Encode(w);
-  w.PutBytes(value);
-}
-BuReadReplyMsg BuReadReplyMsg::DecodeFrom(BufReader& r) {
-  BuReadReplyMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  m.ts = UnboundedTs::Decode(r);
-  m.value = r.GetBytesView();
-  return m;
-}
-
-void NqGetTsMsg::EncodeInto(BufWriter& w) const { w.Put<std::uint64_t>(rid); }
-NqGetTsMsg NqGetTsMsg::DecodeFrom(BufReader& r) {
-  NqGetTsMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  return m;
-}
-
-void NqTsReplyMsg::EncodeInto(BufWriter& w) const {
-  w.Put<std::uint64_t>(rid);
-  ts.Encode(w);
-}
-NqTsReplyMsg NqTsReplyMsg::DecodeFrom(BufReader& r) {
-  NqTsReplyMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  m.ts = Timestamp::Decode(r);
-  return m;
-}
-
-void NqWriteMsg::EncodeInto(BufWriter& w) const {
-  w.Put<std::uint64_t>(rid);
-  ts.Encode(w);
-  w.PutBytes(value);
-}
-NqWriteMsg NqWriteMsg::DecodeFrom(BufReader& r) {
-  NqWriteMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  m.ts = Timestamp::Decode(r);
-  m.value = r.GetBytesView();
-  return m;
-}
-
-void NqWriteAckMsg::EncodeInto(BufWriter& w) const {
-  w.Put<std::uint64_t>(rid);
-}
-NqWriteAckMsg NqWriteAckMsg::DecodeFrom(BufReader& r) {
-  NqWriteAckMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  return m;
-}
-
-void NqReadMsg::EncodeInto(BufWriter& w) const { w.Put<std::uint64_t>(rid); }
-NqReadMsg NqReadMsg::DecodeFrom(BufReader& r) {
-  NqReadMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  return m;
-}
-
-void NqReadReplyMsg::EncodeInto(BufWriter& w) const {
-  w.Put<std::uint64_t>(rid);
-  ts.Encode(w);
-  w.PutBytes(value);
-}
-NqReadReplyMsg NqReadReplyMsg::DecodeFrom(BufReader& r) {
-  NqReadReplyMsg m;
-  m.rid = r.Get<std::uint64_t>();
-  m.ts = Timestamp::Decode(r);
-  m.value = r.GetBytesView();
-  return m;
-}
+template struct QuorumTsReplyMsg<UnboundedTs>;
+template struct QuorumTsReplyMsg<Timestamp>;
+template struct QuorumWriteMsg<UnboundedTs>;
+template struct QuorumWriteMsg<Timestamp>;
+template struct QuorumReadReplyMsg<UnboundedTs>;
+template struct QuorumReadReplyMsg<Timestamp>;
 
 void MuxItem::EncodeInto(BufWriter& w) const {
   w.Put<std::uint64_t>(register_id);
@@ -555,24 +437,29 @@ std::string MessageTypeName(const Message& message) {
     std::string operator()(const CompleteReadMsg&) { return "COMPLETE_READ"; }
     std::string operator()(const FlushMsg&) { return "FLUSH"; }
     std::string operator()(const FlushAckMsg&) { return "FLUSH_ACK"; }
-    std::string operator()(const AbdReadMsg&) { return "ABD_READ"; }
-    std::string operator()(const AbdReadReplyMsg&) { return "ABD_READ_REPLY"; }
-    std::string operator()(const AbdWriteMsg&) { return "ABD_WRITE"; }
-    std::string operator()(const AbdWriteAckMsg&) { return "ABD_WRITE_ACK"; }
-    std::string operator()(const AbdGetTsMsg&) { return "ABD_GET_TS"; }
-    std::string operator()(const AbdTsReplyMsg&) { return "ABD_TS_REPLY"; }
-    std::string operator()(const BuGetTsMsg&) { return "BU_GET_TS"; }
-    std::string operator()(const BuTsReplyMsg&) { return "BU_TS_REPLY"; }
-    std::string operator()(const BuWriteMsg&) { return "BU_WRITE"; }
-    std::string operator()(const BuWriteAckMsg&) { return "BU_WRITE_ACK"; }
-    std::string operator()(const BuReadMsg&) { return "BU_READ"; }
-    std::string operator()(const BuReadReplyMsg&) { return "BU_READ_REPLY"; }
-    std::string operator()(const NqGetTsMsg&) { return "NQ_GET_TS"; }
-    std::string operator()(const NqTsReplyMsg&) { return "NQ_TS_REPLY"; }
-    std::string operator()(const NqWriteMsg&) { return "NQ_WRITE"; }
-    std::string operator()(const NqWriteAckMsg&) { return "NQ_WRITE_ACK"; }
-    std::string operator()(const NqReadMsg&) { return "NQ_READ"; }
-    std::string operator()(const NqReadReplyMsg&) { return "NQ_READ_REPLY"; }
+    std::string operator()(const QuorumGetTsMsg&) { return "QUORUM_GET_TS"; }
+    std::string operator()(const QuorumWriteAckMsg&) {
+      return "QUORUM_WRITE_ACK";
+    }
+    std::string operator()(const QuorumReadMsg&) { return "QUORUM_READ"; }
+    std::string operator()(const QuorumTsReplyMsg<UnboundedTs>&) {
+      return "QUORUM_TS_REPLY";
+    }
+    std::string operator()(const QuorumWriteMsg<UnboundedTs>&) {
+      return "QUORUM_WRITE";
+    }
+    std::string operator()(const QuorumReadReplyMsg<UnboundedTs>&) {
+      return "QUORUM_READ_REPLY";
+    }
+    std::string operator()(const QuorumTsReplyMsg<Timestamp>&) {
+      return "QUORUM_TS_REPLY_BOUNDED";
+    }
+    std::string operator()(const QuorumWriteMsg<Timestamp>&) {
+      return "QUORUM_WRITE_BOUNDED";
+    }
+    std::string operator()(const QuorumReadReplyMsg<Timestamp>&) {
+      return "QUORUM_READ_REPLY_BOUNDED";
+    }
     std::string operator()(const MuxBatchMsg&) { return "MUX_BATCH"; }
     std::string operator()(const NodeFlushMsg&) { return "NODE_FLUSH"; }
     std::string operator()(const NodeFlushAckMsg&) { return "NODE_FLUSH_ACK"; }

@@ -171,136 +171,61 @@ struct FlushAckMsg {
   static FlushAckMsg DecodeFrom(BufReader& r);
 };
 
-// --- Baseline: ABD-style crash-only register --------------------------
+// --- Baseline quorum registers (ABD, BFT-unbounded, TM_1R) ---------
+//
+// The three baselines run one protocol: GET_TS, then WRITE/ACK, plus a
+// one-phase READ (baselines/quorum_register.hpp). Its three requests and
+// acks carry only the operation id; the three messages that carry a
+// timestamp come once per timestamp kind, UnboundedTs (ABD,
+// BFT-unbounded) and Timestamp (TM_1R's bounded labels).
 
-struct AbdReadMsg {
+/// Writer phase 1: request the server's timestamp.
+struct QuorumGetTsMsg {
   std::uint64_t rid = 0;
 
   void EncodeInto(BufWriter& w) const;
-  static AbdReadMsg DecodeFrom(BufReader& r);
+  static QuorumGetTsMsg DecodeFrom(BufReader& r);
 };
-struct AbdReadReplyMsg {
+/// Server's answer to GET_TS.
+template <typename Ts>
+struct QuorumTsReplyMsg {
   std::uint64_t rid = 0;
-  UnboundedTs ts;
+  Ts ts;
+
+  void EncodeInto(BufWriter& w) const;
+  static QuorumTsReplyMsg DecodeFrom(BufReader& r);
+};
+/// Writer phase 2: the write itself.
+template <typename Ts>
+struct QuorumWriteMsg {
+  std::uint64_t rid = 0;
+  Ts ts;
   BytesView value;
 
   void EncodeInto(BufWriter& w) const;
-  static AbdReadReplyMsg DecodeFrom(BufReader& r);
+  static QuorumWriteMsg DecodeFrom(BufReader& r);
 };
-struct AbdWriteMsg {
+struct QuorumWriteAckMsg {
   std::uint64_t rid = 0;
-  UnboundedTs ts;
+
+  void EncodeInto(BufWriter& w) const;
+  static QuorumWriteAckMsg DecodeFrom(BufReader& r);
+};
+struct QuorumReadMsg {
+  std::uint64_t rid = 0;
+
+  void EncodeInto(BufWriter& w) const;
+  static QuorumReadMsg DecodeFrom(BufReader& r);
+};
+/// Server's current (ts, value).
+template <typename Ts>
+struct QuorumReadReplyMsg {
+  std::uint64_t rid = 0;
+  Ts ts;
   BytesView value;
 
   void EncodeInto(BufWriter& w) const;
-  static AbdWriteMsg DecodeFrom(BufReader& r);
-};
-struct AbdWriteAckMsg {
-  std::uint64_t rid = 0;
-
-  void EncodeInto(BufWriter& w) const;
-  static AbdWriteAckMsg DecodeFrom(BufReader& r);
-};
-struct AbdGetTsMsg {
-  std::uint64_t rid = 0;
-
-  void EncodeInto(BufWriter& w) const;
-  static AbdGetTsMsg DecodeFrom(BufReader& r);
-};
-struct AbdTsReplyMsg {
-  std::uint64_t rid = 0;
-  UnboundedTs ts;
-
-  void EncodeInto(BufWriter& w) const;
-  static AbdTsReplyMsg DecodeFrom(BufReader& r);
-};
-
-// --- Baseline: non-stabilizing BFT register, unbounded ts ([14]) ------
-
-struct BuGetTsMsg {
-  std::uint64_t rid = 0;
-
-  void EncodeInto(BufWriter& w) const;
-  static BuGetTsMsg DecodeFrom(BufReader& r);
-};
-struct BuTsReplyMsg {
-  std::uint64_t rid = 0;
-  UnboundedTs ts;
-
-  void EncodeInto(BufWriter& w) const;
-  static BuTsReplyMsg DecodeFrom(BufReader& r);
-};
-struct BuWriteMsg {
-  std::uint64_t rid = 0;
-  UnboundedTs ts;
-  BytesView value;
-
-  void EncodeInto(BufWriter& w) const;
-  static BuWriteMsg DecodeFrom(BufReader& r);
-};
-struct BuWriteAckMsg {
-  std::uint64_t rid = 0;
-
-  void EncodeInto(BufWriter& w) const;
-  static BuWriteAckMsg DecodeFrom(BufReader& r);
-};
-struct BuReadMsg {
-  std::uint64_t rid = 0;
-
-  void EncodeInto(BufWriter& w) const;
-  static BuReadMsg DecodeFrom(BufReader& r);
-};
-struct BuReadReplyMsg {
-  std::uint64_t rid = 0;
-  UnboundedTs ts;
-  BytesView value;
-
-  void EncodeInto(BufWriter& w) const;
-  static BuReadReplyMsg DecodeFrom(BufReader& r);
-};
-
-// --- Baseline: naive TM_1R quorum register (Theorem 1 replay) ---------
-
-struct NqGetTsMsg {
-  std::uint64_t rid = 0;
-
-  void EncodeInto(BufWriter& w) const;
-  static NqGetTsMsg DecodeFrom(BufReader& r);
-};
-struct NqTsReplyMsg {
-  std::uint64_t rid = 0;
-  Timestamp ts;
-
-  void EncodeInto(BufWriter& w) const;
-  static NqTsReplyMsg DecodeFrom(BufReader& r);
-};
-struct NqWriteMsg {
-  std::uint64_t rid = 0;
-  Timestamp ts;
-  BytesView value;
-
-  void EncodeInto(BufWriter& w) const;
-  static NqWriteMsg DecodeFrom(BufReader& r);
-};
-struct NqWriteAckMsg {
-  std::uint64_t rid = 0;
-
-  void EncodeInto(BufWriter& w) const;
-  static NqWriteAckMsg DecodeFrom(BufReader& r);
-};
-struct NqReadMsg {
-  std::uint64_t rid = 0;
-
-  void EncodeInto(BufWriter& w) const;
-  static NqReadMsg DecodeFrom(BufReader& r);
-};
-struct NqReadReplyMsg {
-  std::uint64_t rid = 0;
-  Timestamp ts;
-  BytesView value;
-
-  void EncodeInto(BufWriter& w) const;
-  static NqReadReplyMsg DecodeFrom(BufReader& r);
+  static QuorumReadReplyMsg DecodeFrom(BufReader& r);
 };
 
 // --- Multiplexing envelope (multi-register storage service) -----------
@@ -382,12 +307,12 @@ struct NodeFlushAckMsg {
 using Message = std::variant<
     GetTsMsg, TsReplyMsg, WriteMsg, WriteReplyMsg, ReadMsg, ReplyMsg,
     CompleteReadMsg, FlushMsg, FlushAckMsg,
-    AbdReadMsg, AbdReadReplyMsg, AbdWriteMsg, AbdWriteAckMsg, AbdGetTsMsg,
-    AbdTsReplyMsg,
-    BuGetTsMsg, BuTsReplyMsg, BuWriteMsg, BuWriteAckMsg, BuReadMsg,
-    BuReadReplyMsg,
-    NqGetTsMsg, NqTsReplyMsg, NqWriteMsg, NqWriteAckMsg, NqReadMsg,
-    NqReadReplyMsg, MuxBatchMsg, NodeFlushMsg, NodeFlushAckMsg>;
+    QuorumGetTsMsg, QuorumWriteAckMsg, QuorumReadMsg,
+    QuorumTsReplyMsg<UnboundedTs>, QuorumWriteMsg<UnboundedTs>,
+    QuorumReadReplyMsg<UnboundedTs>,
+    QuorumTsReplyMsg<Timestamp>, QuorumWriteMsg<Timestamp>,
+    QuorumReadReplyMsg<Timestamp>,
+    MuxBatchMsg, NodeFlushMsg, NodeFlushAckMsg>;
 
 /// Frame codec. Encode never fails; Decode fails on unknown type bytes,
 /// truncation, implausible lengths, or trailing garbage. Decode is

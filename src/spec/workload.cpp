@@ -29,14 +29,16 @@ OpRecord::Result FromStatus(OpStatus status) {
 // every scheduled closure: if the event cap interrupts the workload,
 // closures left in the world's queue must stay safe to run later.
 struct Driver : std::enable_shared_from_this<Driver> {
-  Driver(Deployment& dep, const WorkloadOptions& opts)
-      : deployment(dep),
+  Driver(World& w, WorkloadTarget t, const WorkloadOptions& opts)
+      : world(w),
+        target(std::move(t)),
         options(opts),
         rng(opts.seed),
-        remaining(dep.n_clients(), opts.ops_per_client),
-        seq(dep.n_clients(), 0) {}
+        remaining(target.n_clients, opts.ops_per_client),
+        seq(target.n_clients, 0) {}
 
-  Deployment& deployment;
+  World& world;
+  WorkloadTarget target;
   WorkloadOptions options;
   Rng rng;
   std::vector<std::uint32_t> remaining;
@@ -52,68 +54,84 @@ struct Driver : std::enable_shared_from_this<Driver> {
 
   void ScheduleNext(std::size_t client) {
     auto self = shared_from_this();
-    deployment.world().ScheduleCall(
-        1 + rng.NextBelow(options.max_think_time),
-        [self, client] { self->LaunchNext(client); });
+    world.ScheduleCall(1 + rng.NextBelow(options.max_think_time),
+                       [self, client] { self->LaunchNext(client); });
+  }
+
+  void Record(std::size_t client, OpRecord::Kind kind, OpStatus status,
+              VirtualTime invoked_at, Value value) {
+    OpRecord record;
+    record.kind = kind;
+    record.result = FromStatus(status);
+    record.client = static_cast<std::uint32_t>(client);
+    record.invoked_at = invoked_at;
+    record.returned_at = world.now();
+    record.value = std::move(value);
+    result.history.Add(std::move(record));
+    if (kind == OpRecord::Kind::kWrite && status == OpStatus::kOk) {
+      result.first_write_done = std::min(result.first_write_done, world.now());
+    }
+    outstanding--;
+    ScheduleNext(client);
   }
 
   void LaunchNext(std::size_t client) {
     if (remaining[client] == 0) return;
-    if (!deployment.client(client).idle()) return;  // destroyed op pending
+    // A client left busy (a corrupted client's destroyed op, say) stops
+    // its lane.
+    if (!target.idle(client)) return;
     remaining[client]--;
     outstanding++;
-    const VirtualTime invoked_at = deployment.world().now();
+    const VirtualTime invoked_at = world.now();
     auto self = shared_from_this();
 
     if (rng.NextBool(options.write_fraction)) {
       const Value value = TaggedValue(client, seq[client]++);
-      deployment.client(client).StartWrite(
-          value, [self, client, value, invoked_at](const WriteOutcome& out) {
-            OpRecord record;
-            record.kind = OpRecord::Kind::kWrite;
-            record.result = FromStatus(out.status);
-            record.client = static_cast<std::uint32_t>(client);
-            record.invoked_at = invoked_at;
-            record.returned_at = self->deployment.world().now();
-            record.value = value;
-            self->result.history.Add(std::move(record));
-            if (out.status == OpStatus::kOk) {
-              self->result.first_write_done = std::min(
-                  self->result.first_write_done,
-                  self->deployment.world().now());
-            }
-            self->outstanding--;
-            self->ScheduleNext(client);
+      target.start_write(
+          client, value,
+          [self, client, value, invoked_at](const WriteOutcome& out) {
+            self->Record(client, OpRecord::Kind::kWrite, out.status,
+                         invoked_at, value);
           });
     } else {
-      deployment.client(client).StartRead(
-          [self, client, invoked_at](const ReadOutcome& out) {
-            OpRecord record;
-            record.kind = OpRecord::Kind::kRead;
-            record.result = FromStatus(out.status);
-            record.client = static_cast<std::uint32_t>(client);
-            record.invoked_at = invoked_at;
-            record.returned_at = self->deployment.world().now();
-            record.value = out.value;
-            self->result.history.Add(std::move(record));
-            self->outstanding--;
-            self->ScheduleNext(client);
-          });
+      target.start_read(client,
+                        [self, client, invoked_at](const ReadOutcome& out) {
+                          self->Record(client, OpRecord::Kind::kRead,
+                                       out.status, invoked_at, out.value);
+                        });
     }
   }
 };
 
 }  // namespace
 
-WorkloadResult RunConcurrentWorkload(Deployment& deployment,
+WorkloadResult RunConcurrentWorkload(World& world,
+                                     const WorkloadTarget& target,
                                      const WorkloadOptions& options) {
-  auto driver = std::make_shared<Driver>(deployment, options);
-  for (std::size_t client = 0; client < deployment.n_clients(); ++client) {
+  auto driver = std::make_shared<Driver>(world, target, options);
+  for (std::size_t client = 0; client < target.n_clients; ++client) {
     driver->ScheduleNext(client);
   }
-  driver->result.all_completed = deployment.world().RunUntil(
+  driver->result.all_completed = world.RunUntil(
       [&] { return driver->AllDone(); }, options.max_events);
   return driver->result;
+}
+
+WorkloadResult RunConcurrentWorkload(Deployment& deployment,
+                                     const WorkloadOptions& options) {
+  WorkloadTarget target;
+  target.n_clients = deployment.n_clients();
+  target.idle = [&deployment](std::size_t c) {
+    return deployment.client(c).idle();
+  };
+  target.start_write = [&deployment](std::size_t c, Value value,
+                                     WriteCallback done) {
+    deployment.client(c).StartWrite(std::move(value), std::move(done));
+  };
+  target.start_read = [&deployment](std::size_t c, ReadCallback done) {
+    deployment.client(c).StartRead(std::move(done));
+  };
+  return RunConcurrentWorkload(deployment.world(), target, options);
 }
 
 }  // namespace sbft

@@ -1,14 +1,18 @@
 // Randomized concurrent workload driver.
 //
-// Runs a mix of read() and write() operations across the deployment's
-// clients with genuine concurrency (clients interleave in virtual time)
-// and produces a History for CheckRegular. Write values are unique by
+// Runs a mix of read() and write() operations across logical clients
+// with genuine concurrency (clients interleave in virtual time) and
+// produces a History for CheckRegular. Write values are unique by
 // construction ("c<client>#<seq>"), which the checker requires.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 
+#include "core/client.hpp"
 #include "core/deployment.hpp"
+#include "sim/world.hpp"
 #include "spec/history.hpp"
 
 namespace sbft {
@@ -33,7 +37,22 @@ struct WorkloadResult {
   VirtualTime first_write_done = kTimeForever;
 };
 
-/// Drive the workload to completion (or to the event cap).
+/// Where logical client c's operations go: one register per client,
+/// one operation at a time on each.
+struct WorkloadTarget {
+  std::size_t n_clients = 0;
+  std::function<bool(std::size_t client)> idle;
+  std::function<void(std::size_t client, Value value, WriteCallback done)>
+      start_write;
+  std::function<void(std::size_t client, ReadCallback done)> start_read;
+};
+
+/// Drive the workload on `world` to completion (or to the event cap).
+WorkloadResult RunConcurrentWorkload(World& world,
+                                     const WorkloadTarget& target,
+                                     const WorkloadOptions& options);
+
+/// The same over the deployment's clients: client c is its own register.
 WorkloadResult RunConcurrentWorkload(Deployment& deployment,
                                      const WorkloadOptions& options);
 

@@ -2,14 +2,13 @@
 // broken outside them (the E5 story, unit-sized).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "baselines/abd.hpp"
-#include "baselines/bft_unbounded.hpp"
-#include "baselines/naive_quorum.hpp"
+#include "baselines/quorum_register.hpp"
 #include "sim/world.hpp"
 
 namespace sbft {
@@ -17,30 +16,30 @@ namespace {
 
 Value Val(const std::string& text) { return Value(text.begin(), text.end()); }
 
-// --- ABD harness -------------------------------------------------------
+// A baseline on a sim world: n servers and one client (id 100) under
+// `rules`. Servers [0, liars) are built by `liar(i)`; the correct ones,
+// which take their timestamp domain from `rules`, are in `servers`.
+template <typename Server, typename Rules>
+struct Rig {
+  using Outcome = QuorumReadOutcome<typename Rules::Ts>;
+  using Liar = std::function<std::unique_ptr<Automaton>(std::size_t)>;
 
-struct AbdRig {
-  explicit AbdRig(std::size_t n, std::uint64_t seed = 1,
-                  std::size_t byzantine = 0) {
+  explicit Rig(std::size_t n, Rules rules, std::uint64_t seed = 1,
+               std::size_t liars = 0, const Liar& liar = nullptr) {
     World::Options options;
     options.seed = seed;
     world = std::make_unique<World>(std::move(options));
     for (std::size_t i = 0; i < n; ++i) {
-      if (i < byzantine) {
-        // ABD has no Byzantine defence; reuse the Bu Byzantine which
-        // speaks a different protocol — instead emulate with a corrupted
-        // AbdServer frozen at a huge ts.
-        auto server = std::make_unique<AbdServer>();
-        server->SetState(UnboundedTs{~0ull, 99}, Val("evil"));
-        servers.push_back(server.get());
-        server_ids.push_back(world->AddNode(std::move(server)));
-      } else {
-        auto server = std::make_unique<AbdServer>();
-        servers.push_back(server.get());
-        server_ids.push_back(world->AddNode(std::move(server)));
+      if (i < liars) {
+        server_ids.push_back(world->AddNode(liar(i)));
+        continue;
       }
+      auto server = std::make_unique<Server>(rules);
+      servers.push_back(server.get());
+      server_ids.push_back(world->AddNode(std::move(server)));
     }
-    auto client_owner = std::make_unique<AbdClient>(server_ids, 100);
+    auto client_owner = std::make_unique<QuorumClient<Rules>>(
+        server_ids, std::move(rules), 100);
     client = client_owner.get();
     world->AddNode(std::move(client_owner));
     world->RunUntil([] { return true; }, 0);
@@ -55,10 +54,10 @@ struct AbdRig {
     world->RunUntil([&] { return done; }, 100000);
     return done && ok;
   }
-  AbdReadOutcome Read() {
-    AbdReadOutcome outcome;
+  Outcome Read() {
+    Outcome outcome;
     bool done = false;
-    client->StartRead([&](const AbdReadOutcome& o) {
+    client->StartRead([&](const Outcome& o) {
       outcome = o;
       done = true;
     });
@@ -67,13 +66,19 @@ struct AbdRig {
   }
 
   std::unique_ptr<World> world;
-  std::vector<AbdServer*> servers;
+  std::vector<Server*> servers;
   std::vector<NodeId> server_ids;
-  AbdClient* client = nullptr;
+  QuorumClient<Rules>* client = nullptr;
 };
 
+using AbdRig = Rig<AbdServer, AbdRules>;
+using BuRig = Rig<BuServer, BuRules>;
+using NqRig = Rig<NqServer, Tm1rRules>;
+
+// --- ABD ----------------------------------------------------------------
+
 TEST(AbdBaseline, CrashModelWriteReadWorks) {
-  AbdRig rig(5);
+  AbdRig rig(5, AbdRules{});
   ASSERT_TRUE(rig.Write(Val("abd-1")));
   auto read = rig.Read();
   ASSERT_TRUE(read.ok);
@@ -81,7 +86,7 @@ TEST(AbdBaseline, CrashModelWriteReadWorks) {
 }
 
 TEST(AbdBaseline, SequentialWritesMonotone) {
-  AbdRig rig(5);
+  AbdRig rig(5, AbdRules{});
   for (int i = 0; i < 10; ++i) {
     const Value value = Val("abd-" + std::to_string(i));
     ASSERT_TRUE(rig.Write(value));
@@ -92,7 +97,12 @@ TEST(AbdBaseline, SequentialWritesMonotone) {
 TEST(AbdBaseline, ByzantineMaxTsServerPoisonsReads) {
   // One lying server with a maximal timestamp wins the max-ts rule on
   // any read quorum containing it: ABD gives no Byzantine protection.
-  AbdRig rig(5, /*seed=*/3, /*byzantine=*/1);
+  // The liar is an AbdServer frozen at a huge timestamp.
+  AbdRig rig(5, AbdRules{}, /*seed=*/3, /*liars=*/1, [](std::size_t) {
+    auto liar = std::make_unique<AbdServer>();
+    liar->SetState(UnboundedTs{~0ull, 99}, Val("evil"));
+    return liar;
+  });
   ASSERT_TRUE(rig.Write(Val("honest")));
   int poisoned = 0;
   for (int i = 0; i < 10; ++i) {
@@ -105,7 +115,7 @@ TEST(AbdBaseline, ByzantineMaxTsServerPoisonsReads) {
 TEST(AbdBaseline, TransientCorruptionIsPermanent) {
   // Corrupt every server: the planted near-maximal timestamps make the
   // garbage stick — no later write can exceed them.
-  AbdRig rig(5, /*seed=*/4);
+  AbdRig rig(5, AbdRules{}, /*seed=*/4);
   ASSERT_TRUE(rig.Write(Val("before")));
   Rng rng(99);
   for (auto* server : rig.servers) {
@@ -120,59 +130,10 @@ TEST(AbdBaseline, TransientCorruptionIsPermanent) {
   EXPECT_NE(read.value, Val("after"));  // ...but is never visible
 }
 
-// --- BFT-unbounded harness ----------------------------------------------
-
-struct BuRig {
-  BuRig(std::size_t n, std::uint32_t f, std::uint64_t seed = 1,
-        std::size_t byzantine = 0) {
-    World::Options world_options;
-    world_options.seed = seed;
-    world = std::make_unique<World>(std::move(world_options));
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i < byzantine) {
-        server_ids.push_back(
-            world->AddNode(std::make_unique<BuByzantineServer>(seed + i)));
-        servers.push_back(nullptr);
-      } else {
-        auto server = std::make_unique<BuServer>();
-        servers.push_back(server.get());
-        server_ids.push_back(world->AddNode(std::move(server)));
-      }
-    }
-    auto client_owner = std::make_unique<BuClient>(server_ids, f, 100);
-    client = client_owner.get();
-    world->AddNode(std::move(client_owner));
-    world->RunUntil([] { return true; }, 0);
-  }
-
-  bool Write(const Value& value) {
-    bool done = false, ok = false;
-    client->StartWrite(value, [&](bool k) {
-      ok = k;
-      done = true;
-    });
-    world->RunUntil([&] { return done; }, 100000);
-    return done && ok;
-  }
-  BuReadOutcome Read() {
-    BuReadOutcome outcome;
-    bool done = false;
-    client->StartRead([&](const BuReadOutcome& o) {
-      outcome = o;
-      done = true;
-    });
-    world->RunUntil([&] { return done; }, 100000);
-    return outcome;
-  }
-
-  std::unique_ptr<World> world;
-  std::vector<BuServer*> servers;
-  std::vector<NodeId> server_ids;
-  BuClient* client = nullptr;
-};
+// --- BFT-unbounded ------------------------------------------------------
 
 TEST(BuBaseline, CleanStartWorks) {
-  BuRig rig(4, 1);
+  BuRig rig(4, BuRules(/*f=*/1));
   ASSERT_TRUE(rig.Write(Val("bu-1")));
   auto read = rig.Read();
   ASSERT_TRUE(read.ok);
@@ -180,7 +141,9 @@ TEST(BuBaseline, CleanStartWorks) {
 }
 
 TEST(BuBaseline, ToleratesByzantineFromCleanStart) {
-  BuRig rig(4, 1, /*seed=*/5, /*byzantine=*/1);
+  BuRig rig(4, BuRules(/*f=*/1), /*seed=*/5, /*liars=*/1, [](std::size_t i) {
+    return std::make_unique<BuByzantineServer>(5 + i);
+  });
   for (int i = 0; i < 8; ++i) {
     const Value value = Val("bu-" + std::to_string(i));
     ASSERT_TRUE(rig.Write(value));
@@ -195,7 +158,7 @@ TEST(BuBaseline, TransientCorruptionPermanentlyBreaksReads) {
   // avoid: corruption plants distinct near-maximal timestamps at every
   // correct server; no value can ever again reach f+1 witnesses and the
   // saturated timestamps cannot be dominated, so reads abort forever.
-  BuRig rig(4, 1, /*seed=*/6);
+  BuRig rig(4, BuRules(/*f=*/1), /*seed=*/6);
   ASSERT_TRUE(rig.Write(Val("before")));
   Rng rng(7);
   for (auto* server : rig.servers) {
@@ -220,33 +183,10 @@ TEST(BuBaseline, TransientCorruptionPermanentlyBreaksReads) {
 // --- Naive quorum (TM_1R) -----------------------------------------------
 
 TEST(NqBaseline, CleanStartWorks) {
-  World world;
-  std::vector<NodeId> server_ids;
-  const std::uint32_t n = 5, f = 1, k = 8;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    server_ids.push_back(world.AddNode(std::make_unique<NqServer>(k)));
-  }
-  auto client_owner = std::make_unique<NqClient>(server_ids, f, k, 100);
-  NqClient* client = client_owner.get();
-  world.AddNode(std::move(client_owner));
-  world.RunUntil([] { return true; }, 0);
-
-  bool done = false, ok = false;
-  client->StartWrite(Val("nq-1"), [&](bool w) {
-    ok = w;
-    done = true;
-  });
-  world.RunUntil([&] { return done; }, 100000);
-  ASSERT_TRUE(done && ok);
-
-  done = false;
-  NqReadOutcome outcome;
-  client->StartRead([&](const NqReadOutcome& o) {
-    outcome = o;
-    done = true;
-  });
-  world.RunUntil([&] { return done; }, 100000);
-  ASSERT_TRUE(done && outcome.ok);
+  NqRig rig(5, Tm1rRules(/*f=*/1, /*k=*/8));
+  ASSERT_TRUE(rig.Write(Val("nq-1")));
+  auto outcome = rig.Read();
+  ASSERT_TRUE(outcome.ok);
   EXPECT_EQ(outcome.value, Val("nq-1"));
 }
 

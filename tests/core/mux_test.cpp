@@ -169,9 +169,10 @@ TEST(Mux, TransientCorruptionHealsPerRegister) {
 
 TEST(Mux, CorruptClientFailsInFlightOpsInRegisterOrder) {
   // Each in-flight op's kFailed callback runs inside CorruptState, and a
-  // caller that draws from an rng per callback (the fuzz MuxDriver's
-  // think time) replays only if that order is fixed: ascending register
-  // id, never the hash table's bucket order.
+  // caller that draws from an rng per callback (the sim workload
+  // driver's think time, in the fuzzer's mux scenarios) replays only if
+  // that order is fixed: ascending register id, never the hash table's
+  // bucket order.
   MuxRig rig(8);
   std::vector<RegisterId> failed;
   for (const RegisterId id : {7, 3, 12, 1, 9, 30, 5, 200}) {

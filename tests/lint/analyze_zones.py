@@ -102,7 +102,7 @@ void PlantedReseed(Rng& rng) {
 }
 }  // namespace sbft
 """),
-    ("src/baselines/abd.cpp", "wall-clock", """
+    ("src/baselines/quorum_register.cpp", "wall-clock", """
 namespace sbft {
 long PlantedStamp() {
   const auto now = std::chrono::high_resolution_clock::now();

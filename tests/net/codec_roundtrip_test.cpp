@@ -49,29 +49,17 @@ class SampleSet {
     Add(FlushMsg{Op(), Scope()});
     Add(FlushAckMsg{Op(), Scope()});
 
-    // ABD baseline.
-    Add(AbdReadMsg{Rid()});
-    Add(AbdReadReplyMsg{Rid(), Uts(), Val()});
-    Add(AbdWriteMsg{Rid(), Uts(), Val()});
-    Add(AbdWriteAckMsg{Rid()});
-    Add(AbdGetTsMsg{Rid()});
-    Add(AbdTsReplyMsg{Rid(), Uts()});
-
-    // Non-stabilizing BFT baseline.
-    Add(BuGetTsMsg{Rid()});
-    Add(BuTsReplyMsg{Rid(), Uts()});
-    Add(BuWriteMsg{Rid(), Uts(), Val()});
-    Add(BuWriteAckMsg{Rid()});
-    Add(BuReadMsg{Rid()});
-    Add(BuReadReplyMsg{Rid(), Uts(), Val()});
-
-    // Naive quorum baseline.
-    Add(NqGetTsMsg{Rid()});
-    Add(NqTsReplyMsg{Rid(), Ts()});
-    Add(NqWriteMsg{Rid(), Ts(), Val()});
-    Add(NqWriteAckMsg{Rid()});
-    Add(NqReadMsg{Rid()});
-    Add(NqReadReplyMsg{Rid(), Ts(), Val()});
+    // Baseline quorum registers: the shared messages and both
+    // timestamp kinds of the rest.
+    Add(QuorumGetTsMsg{Rid()});
+    Add(QuorumWriteAckMsg{Rid()});
+    Add(QuorumReadMsg{Rid()});
+    Add(QuorumTsReplyMsg<UnboundedTs>{Rid(), Uts()});
+    Add(QuorumWriteMsg<UnboundedTs>{Rid(), Uts(), Val()});
+    Add(QuorumReadReplyMsg<UnboundedTs>{Rid(), Uts(), Val()});
+    Add(QuorumTsReplyMsg<Timestamp>{Rid(), Ts()});
+    Add(QuorumWriteMsg<Timestamp>{Rid(), Ts(), Val()});
+    Add(QuorumReadReplyMsg<Timestamp>{Rid(), Ts(), Val()});
 
     // Batched mux envelope: a random number of sub-frames (possibly
     // zero — an empty batch is legal on the wire) over genuine inner

@@ -97,30 +97,24 @@ TEST(MessageCodec, BaselineMessagesRoundTrip) {
   const Value v1{1};
   const Value v2{2};
   const Value v3{3};
-  EXPECT_EQ(RoundTrip(AbdReadMsg{77}).msg.rid, 77u);
-  auto abd_reply = RoundTrip(AbdReadReplyMsg{1, uts, v5});
-  EXPECT_EQ(abd_reply.msg.ts, uts);
-  EXPECT_TRUE(SameBytes(abd_reply.msg.value, v5));
-  EXPECT_EQ(RoundTrip(AbdWriteMsg{2, uts, v6}).msg.ts, uts);
-  EXPECT_EQ(RoundTrip(AbdWriteAckMsg{3}).msg.rid, 3u);
-  EXPECT_EQ(RoundTrip(AbdGetTsMsg{4}).msg.rid, 4u);
-  EXPECT_EQ(RoundTrip(AbdTsReplyMsg{5, uts}).msg.ts, uts);
-
-  EXPECT_EQ(RoundTrip(BuGetTsMsg{6}).msg.rid, 6u);
-  EXPECT_EQ(RoundTrip(BuTsReplyMsg{7, uts}).msg.ts, uts);
-  EXPECT_TRUE(SameBytes(RoundTrip(BuWriteMsg{8, uts, v9}).msg.value, v9));
-  EXPECT_EQ(RoundTrip(BuWriteAckMsg{9}).msg.rid, 9u);
-  EXPECT_EQ(RoundTrip(BuReadMsg{10}).msg.rid, 10u);
-  EXPECT_EQ(RoundTrip(BuReadReplyMsg{11, uts, v1}).msg.rid, 11u);
+  EXPECT_EQ(RoundTrip(QuorumReadMsg{77}).msg.rid, 77u);
+  auto reply = RoundTrip(QuorumReadReplyMsg<UnboundedTs>{1, uts, v5});
+  EXPECT_EQ(reply.msg.ts, uts);
+  EXPECT_TRUE(SameBytes(reply.msg.value, v5));
+  EXPECT_EQ(RoundTrip(QuorumWriteMsg<UnboundedTs>{2, uts, v6}).msg.ts, uts);
+  EXPECT_EQ(RoundTrip(QuorumWriteAckMsg{3}).msg.rid, 3u);
+  EXPECT_EQ(RoundTrip(QuorumGetTsMsg{4}).msg.rid, 4u);
+  EXPECT_EQ(RoundTrip(QuorumTsReplyMsg<UnboundedTs>{5, uts}).msg.ts, uts);
+  EXPECT_TRUE(SameBytes(
+      RoundTrip(QuorumWriteMsg<UnboundedTs>{8, uts, v9}).msg.value, v9));
+  EXPECT_EQ(RoundTrip(QuorumReadReplyMsg<UnboundedTs>{11, uts, v1}).msg.rid,
+            11u);
 
   Timestamp ts = MakeTs(rng, system);
-  EXPECT_EQ(RoundTrip(NqGetTsMsg{12}).msg.rid, 12u);
-  EXPECT_EQ(RoundTrip(NqTsReplyMsg{13, ts}).msg.ts, ts);
-  EXPECT_EQ(RoundTrip(NqWriteMsg{14, ts, v2}).msg.ts, ts);
-  EXPECT_EQ(RoundTrip(NqWriteAckMsg{15}).msg.rid, 15u);
-  EXPECT_EQ(RoundTrip(NqReadMsg{16}).msg.rid, 16u);
-  EXPECT_TRUE(
-      SameBytes(RoundTrip(NqReadReplyMsg{17, ts, v3}).msg.value, v3));
+  EXPECT_EQ(RoundTrip(QuorumTsReplyMsg<Timestamp>{13, ts}).msg.ts, ts);
+  EXPECT_EQ(RoundTrip(QuorumWriteMsg<Timestamp>{14, ts, v2}).msg.ts, ts);
+  EXPECT_TRUE(SameBytes(
+      RoundTrip(QuorumReadReplyMsg<Timestamp>{17, ts, v3}).msg.value, v3));
 }
 
 TEST(MessageCodec, SixteenServerReplySizes) {
@@ -249,6 +243,20 @@ TEST(MessageCodec, EmptyFrameRejected) {
 TEST(MessageCodec, UnknownTagRejected) {
   Bytes frame{0xEE, 1, 2, 3};
   EXPECT_FALSE(DecodeMessage(frame).ok());
+  // Tags 30-35, 40, 43 and 44 carried per-protocol copies of the
+  // baseline quorum messages. A well-formed frame under each, in the
+  // shape it had (rid; rid + ts; rid + ts + value), is now unknown.
+  const Value value{7, 7};
+  for (const int tag : {30, 31, 32, 33, 34, 35, 40, 43, 44}) {
+    BufWriter retired;
+    retired.Put<std::uint8_t>(static_cast<std::uint8_t>(tag));
+    retired.Put<std::uint64_t>(9);
+    if (tag == 31 || tag == 32 || tag == 35) {
+      UnboundedTs{5, 6}.Encode(retired);
+    }
+    if (tag == 32 || tag == 35) retired.PutBytes(value);
+    EXPECT_FALSE(DecodeMessage(retired.Take()).ok()) << "tag " << tag;
+  }
   // Tag 60 carried the retired single-register mux envelope
   // (register id, length-prefixed inner frame); that shape is now an
   // unknown tag like any other.
@@ -283,12 +291,10 @@ std::vector<Message> AllVariantSamples(Rng& rng,
                                        const LabelingSystem& system) {
   static const Value kVal123{1, 2, 3};
   static const Value kVal45{4, 5};
-  static const Value kVal1{1};
   static const Value kVal2{2};
   static const Value kVal3{3};
   static const Value kVal5{5};
   static const Value kVal6{6};
-  static const Value kVal9{9};
   static const Bytes kBatchInnerA =
       EncodeMessage(Message(FlushMsg{4, OpScope::kWrite}));
   static const Bytes kBatchInnerB =
@@ -317,24 +323,15 @@ std::vector<Message> AllVariantSamples(Rng& rng,
       CompleteReadMsg{2},
       FlushMsg{5, OpScope::kWrite},
       FlushAckMsg{5, OpScope::kRead},
-      AbdReadMsg{77},
-      AbdReadReplyMsg{1, uts, kVal5},
-      AbdWriteMsg{2, uts, kVal6},
-      AbdWriteAckMsg{3},
-      AbdGetTsMsg{4},
-      AbdTsReplyMsg{5, uts},
-      BuGetTsMsg{6},
-      BuTsReplyMsg{7, uts},
-      BuWriteMsg{8, uts, kVal9},
-      BuWriteAckMsg{9},
-      BuReadMsg{10},
-      BuReadReplyMsg{11, uts, kVal1},
-      NqGetTsMsg{12},
-      NqTsReplyMsg{13, ts},
-      NqWriteMsg{14, ts, kVal2},
-      NqWriteAckMsg{15},
-      NqReadMsg{16},
-      NqReadReplyMsg{17, ts, kVal3},
+      QuorumGetTsMsg{4},
+      QuorumWriteAckMsg{3},
+      QuorumReadMsg{77},
+      QuorumTsReplyMsg<UnboundedTs>{5, uts},
+      QuorumWriteMsg<UnboundedTs>{2, uts, kVal6},
+      QuorumReadReplyMsg<UnboundedTs>{1, uts, kVal5},
+      QuorumTsReplyMsg<Timestamp>{13, ts},
+      QuorumWriteMsg<Timestamp>{14, ts, kVal2},
+      QuorumReadReplyMsg<Timestamp>{17, ts, kVal3},
       mux_batch,
       node_flush,
       node_flush_ack,
@@ -421,7 +418,8 @@ TEST(MessageCodec, TypeNamesAreStable) {
   EXPECT_EQ(MessageTypeName(Message(WriteReplyMsg{.ack = true})), "ACK");
   EXPECT_EQ(MessageTypeName(Message(WriteReplyMsg{.ack = false})), "NACK");
   EXPECT_EQ(MessageTypeName(Message(FlushMsg{})), "FLUSH");
-  EXPECT_EQ(MessageTypeName(Message(NqReadReplyMsg{})), "NQ_READ_REPLY");
+  EXPECT_EQ(MessageTypeName(Message(QuorumReadReplyMsg<Timestamp>{})),
+            "QUORUM_READ_REPLY_BOUNDED");
 }
 
 }  // namespace

@@ -39,12 +39,6 @@ metrics section aggregates each such family to one summary line, so a
 whole new G-sweep reads as one unit instead of tripping per-metric
 eyeballs (or, once committed, count gates against an older baseline).
 
-``--subset`` declares the fresh run a deliberately filtered arm subset
-(a bench invoked with ``--only``/``--scenario``, e.g. the CI sharded
-smoke leg): baseline metrics missing from the fresh run are then
-expected and suppressed instead of listed as advisories. Metrics the
-fresh run DOES produce are still compared and gated as usual.
-
 Exit status: 0 = no gating regression, 1 = at least one, 2 = usage or
 input error.
 """
@@ -56,12 +50,10 @@ import sys
 
 # Leading metric-name components that name a sharded-arm family, in
 # either naming convention: group-first as bench_throughput emits
-# ("g4.tcp.", "g2.migrate.tcp.") or backend-first as bench_load emits
-# ("tcp.g2.", "tcp.g2_migrate."). Used to aggregate whole families in
-# the new-metrics section.
-GROUP_FAMILY = re.compile(
-    r"^(g\d+\.(?:migrate\.)?(?:tcp|mailbox)\."
-    r"|(?:tcp|mailbox)\.g\d+(?:_migrate)?\.)")
+# ("g4.tcp.") or backend-first as bench_load emits ("tcp.g2.",
+# "tcp.g2_migrate."). Used to aggregate whole families in the
+# new-metrics section.
+GROUP_FAMILY = re.compile(r"^(g\d+\.tcp\.|tcp\.g\d+(?:_migrate)?\.)")
 
 # Substrings that mark a metric where SMALLER is better. Checked before
 # the higher-is-better marks so e.g. "allocs_per_op" resolves correctly.
@@ -117,22 +109,15 @@ def main() -> int:
     parser.add_argument("--gate-rates", action="store_true",
                         help="gate machine-dependent rate metrics too "
                              "(same-machine comparisons only)")
-    parser.add_argument("--subset", action="store_true",
-                        help="fresh run is a filtered arm subset "
-                             "(--only/--scenario); baseline metrics "
-                             "missing from it are expected, not advisory")
     args = parser.parse_args()
 
     base = load_metrics(args.baseline)
     fresh = load_metrics(args.fresh)
 
     gating, advisories, rows = [], [], []
-    missing = 0
     for name, (base_value, unit) in sorted(base.items()):
         if name not in fresh:
-            missing += 1
-            if not args.subset:
-                advisories.append(f"{name}: missing from fresh run")
+            advisories.append(f"{name}: missing from fresh run")
             continue
         fresh_value = fresh[name][0]
         sense = direction(name, unit)
@@ -180,9 +165,9 @@ def main() -> int:
         rows.append((name, base_value, fresh_value, f"{delta:+.1%}", verdict))
 
     new_metrics = sorted(set(fresh) - set(base))
-    # Sharded arms arrive as whole per-group families (g2.*, g4.*,
-    # g2.migrate.*): collapse each family to one row/summary entry and
-    # keep only non-family metrics itemized.
+    # Sharded arms arrive as whole per-group families (g2.tcp.*,
+    # tcp.g2.*, tcp.g2_migrate.*): collapse each family to one
+    # row/summary entry and keep only non-family metrics itemized.
     new_families = {}
     new_single = []
     for name in new_metrics:
@@ -228,10 +213,6 @@ def main() -> int:
             for name in names:
                 value, unit = fresh[name]
                 print(f"      {name}: {value:g} {unit}".rstrip())
-
-    if args.subset and missing:
-        print(f"\nsubset run: {missing} baseline metric(s) not produced "
-              f"by this filtered run (expected; not gated)")
 
     if advisories:
         print("\nadvisory (not gated):")
